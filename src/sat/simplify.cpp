@@ -71,11 +71,16 @@ class Simplifier {
   /// whether the addition needs one depends on where the clause came from.
   std::uint32_t pushClause(Clause c) {
     const auto ci = static_cast<std::uint32_t>(db_.size());
-    bytes_ += (c.size() * 2 + 4) * sizeof(CnfLit);
+    bytes_ += clauseBytes(c);
     if (c.size() == 1) pendingUnits_.push_back(c[0]);
     if (c.empty()) provedUnsat_ = true;
-    for (CnfLit l : c) occ_[litIdx(l)].push_back(ci);
+    std::uint64_t sig = 0;
+    for (CnfLit l : c) {
+      occ_[litIdx(l)].push_back(ci);
+      sig |= std::uint64_t{1} << (litIdx(l) & 63);
+    }
     db_.push_back(std::move(c));
+    sig_.push_back(sig);
     live_.push_back(1);
     ++mutations_;
     return ci;
@@ -89,6 +94,14 @@ class Simplifier {
     // re-emits every level-0 unit, so the checker database must keep them.
     if (emitDelete && proof_ != nullptr && db_[ci].size() > 1)
       proof_->del(db_[ci]);
+    // Nothing reads a dead clause's literals: release them, so bytes_ (the
+    // budget governor's view) tracks the live database.
+    bytes_ -= clauseBytes(db_[ci]);
+    Clause().swap(db_[ci]);
+  }
+
+  static std::size_t clauseBytes(const Clause& c) {
+    return (c.size() * 2 + 4) * sizeof(CnfLit);
   }
 
   /// Sort + dedupe + drop assigned-false lits. Returns false for clauses
@@ -99,7 +112,8 @@ class Simplifier {
     Clause out;
     out.reserve(c.size());
     for (std::size_t i = 0; i < c.size(); ++i) {
-      if (i + 1 < c.size() && c[i] == -c[i + 1]) return false;  // tautology
+      // Tautology: sorted by signed value, l and -l need not be adjacent.
+      if (std::binary_search(c.begin(), c.end(), -c[i])) return false;
       const std::int8_t v = valueOf(c[i]);
       if (v > 0) return false;  // satisfied
       if (v < 0) continue;      // falsified literal: drop
@@ -148,9 +162,8 @@ class Simplifier {
   void propagateUnits() {
     for (CnfLit u : pendingUnits_) assign(u);
     pendingUnits_.clear();
-    while (!unitQueue_.empty() && !provedUnsat_) {
-      const CnfLit u = unitQueue_.front();
-      unitQueue_.erase(unitQueue_.begin());
+    while (unitHead_ < unitQueue_.size() && !provedUnsat_) {
+      const CnfLit u = unitQueue_[unitHead_++];
       for (const std::uint32_t ci : occ_[litIdx(u)]) {
         if (live_[ci] == 0) continue;
         killClause(ci, /*emitDelete=*/true);
@@ -180,6 +193,7 @@ class Simplifier {
       }
     }
     unitQueue_.clear();
+    unitHead_ = 0;
   }
 
   // ---- budget / work accounting --------------------------------------------
@@ -381,9 +395,39 @@ class Simplifier {
   }
 
   // ---- pass 3: subsumption + self-subsumption ------------------------------
+  //
+  // SatELite-style backward pass (Eén–Biere 2005). Each live clause c, in
+  // stable size order, scans the two occurrence lists of its least-occurring
+  // variable once: any d that c subsumes, or that c with one literal flipped
+  // subsumes, contains that variable in some polarity.
+
+  enum class Subsumption { None, Subsumes, Strengthens };
+
+  /// One merge over the sorted clauses c and d. Subsumes: c ⊆ d.
+  /// Strengthens: c \ {flip} ⊆ d and ¬flip ∈ d, so the resolvent
+  /// d \ {¬flip} replaces d.
+  static Subsumption subsumes(const Clause& c, const Clause& d,
+                              CnfLit& flip) {
+    flip = 0;
+    auto j = d.begin();
+    for (const CnfLit l : c) {
+      while (j != d.end() && *j < l) ++j;
+      if (j != d.end() && *j == l) {
+        ++j;
+        continue;
+      }
+      if (flip != 0 || !std::binary_search(d.begin(), d.end(), -l))
+        return Subsumption::None;
+      flip = l;
+    }
+    return flip == 0 ? Subsumption::Subsumes : Subsumption::Strengthens;
+  }
 
   void subsumePass() {
     TRACE_SPAN("sat.inprocess.subsume");
+    // Drop dead ids so the pivot choice below sees true list sizes.
+    for (auto& list : occ_)
+      std::erase_if(list, [this](std::uint32_t ci) { return live_[ci] == 0; });
     std::vector<std::uint32_t> order;
     order.reserve(db_.size());
     for (std::uint32_t ci = 0; ci < db_.size(); ++ci)
@@ -393,47 +437,50 @@ class Simplifier {
                        return db_[a].size() < db_[b].size();
                      });
 
+    Clause c;
     for (const std::uint32_t ci : order) {
       if (live_[ci] == 0) continue;  // subsumed by an earlier clause
       if (done()) return;
-      const Clause c = db_[ci];
-      // Backward subsumption through the least-occurring literal: any
-      // superset of c must contain it.
-      CnfLit pivot = c[0];
-      for (const CnfLit l : c)
-        if (occ_[litIdx(l)].size() < occ_[litIdx(pivot)].size()) pivot = l;
-      const std::vector<std::uint32_t> cands = occ_[litIdx(pivot)];
-      for (const std::uint32_t di : cands) {
-        if (di == ci || live_[di] == 0 || db_[di].size() < c.size()) continue;
-        if (tick(db_[di].size())) return;
-        if (std::includes(db_[di].begin(), db_[di].end(), c.begin(),
-                          c.end())) {
-          killClause(di, /*emitDelete=*/true);
-          ++stats_.clausesRemoved;
+      c = db_[ci];  // copy: strengthening appends to db_
+      const std::uint64_t sig = sig_[ci];
+      CnfLit pivot = 0;
+      std::size_t best = 0;
+      for (const CnfLit l : c) {
+        const std::size_t n = occ_[litIdx(l)].size() + occ_[litIdx(-l)].size();
+        if (pivot == 0 || n < best) {
+          best = n;
+          pivot = l;
         }
       }
-      // Self-subsumption: c with one literal flipped subsumes d => the
-      // flipped literal can be resolved out of d (the resolvent c⊗d ⊆ d
-      // is RUP from c and d).
-      for (std::size_t k = 0; k < c.size(); ++k) {
-        Clause flip = c;
-        flip[k] = -flip[k];
-        std::sort(flip.begin(), flip.end());
-        const std::vector<std::uint32_t> strong = occ_[litIdx(-c[k])];
-        for (const std::uint32_t di : strong) {
-          if (di == ci || live_[di] == 0 || db_[di].size() < c.size())
-            continue;
-          if (tick(db_[di].size())) return;
-          if (!std::includes(db_[di].begin(), db_[di].end(), flip.begin(),
-                             flip.end()))
-            continue;
-          Clause d = db_[di];
-          d.erase(std::find(d.begin(), d.end(), -c[k]));
-          ++stats_.clausesStrengthened;
-          ++stats_.litsRemoved;
-          if (proof_ != nullptr) proof_->add(d);
-          killClause(di, /*emitDelete=*/true);
-          pushClause(std::move(d));
+      for (const CnfLit p : {pivot, -pivot}) {
+        // By index, up to the current end: a clause strengthened here can
+        // not be subsumed or strengthened by c again.
+        const std::size_t li = litIdx(p), end = occ_[li].size();
+        for (std::size_t k = 0; k < end; ++k) {
+          const std::uint32_t di = occ_[li][k];
+          if (di == ci || live_[di] == 0 || db_[di].size() < c.size()) continue;
+          // More than one literal of c missing from d: neither case holds.
+          const std::uint64_t missing = sig & ~sig_[di];
+          const bool filtered = (missing & (missing - 1)) != 0;
+          if (tick(filtered ? 1 : db_[di].size())) return;
+          if (filtered) continue;
+          CnfLit flip = 0;
+          const Subsumption r = subsumes(c, db_[di], flip);
+          if (r == Subsumption::Subsumes) {
+            killClause(di, /*emitDelete=*/true);
+            ++stats_.clausesRemoved;
+          } else if (r == Subsumption::Strengthens) {
+            // The resolvent of c and d on flip is RUP from c and d.
+            Clause d;
+            d.reserve(db_[di].size() - 1);
+            for (const CnfLit l : db_[di])
+              if (l != -flip) d.push_back(l);
+            ++stats_.clausesStrengthened;
+            ++stats_.litsRemoved;
+            if (proof_ != nullptr) proof_->add(d);
+            killClause(di, /*emitDelete=*/true);
+            pushClause(std::move(d));
+          }
         }
       }
     }
@@ -756,6 +803,9 @@ class Simplifier {
     SimplifyResult out;
     out.cnf.numVars = n_;
     if (provedUnsat_) {
+      // A strengthening that derives {} logs its parent's deletion after
+      // it: close the proof again so a refutation alone ends with {}.
+      if (proof_ != nullptr && !proof_->endsWithEmptyClause()) proof_->add({});
       out.cnf.addClause({});
       out.provedUnsat = true;
     } else {
@@ -795,6 +845,7 @@ class Simplifier {
 
   std::uint32_t n_;
   std::vector<Clause> db_;
+  std::vector<std::uint64_t> sig_;  // literal signature per clause
   std::vector<char> live_;
   std::vector<std::int8_t> val_;
   std::vector<char> frozen_;
@@ -803,6 +854,7 @@ class Simplifier {
 
   std::vector<CnfLit> pendingUnits_;
   std::vector<CnfLit> unitQueue_;
+  std::size_t unitHead_ = 0;  // next unitQueue_ entry to propagate
 
   // Scratch for elimPass/findGate (cleared per use; members to keep the
   // allocations).

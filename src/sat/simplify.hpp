@@ -9,7 +9,10 @@
 //
 //   1. level-0 unit propagation + clause cleanup,
 //   2. SCC-based equivalent-literal substitution (binary implication graph),
-//   3. subsumption and self-subsumption (occurrence-list backward pass),
+//   3. subsumption and self-subsumption (SatELite-style backward pass:
+//      64-bit literal signatures filter candidates, each clause scans the
+//      two occurrence lists of its least-occurring variable once, and one
+//      merge per candidate decides "subsumes" or "strengthens on l"),
 //   4. vivification (assume the negated clause prefix, shorten on conflict),
 //   5. failed-literal probing,
 //   6. bounded variable elimination (NiVER-style: never increase the

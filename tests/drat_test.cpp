@@ -204,6 +204,49 @@ TEST(Drat, InprocessedProofsCertifyAgainstOriginalFormula) {
   EXPECT_GT(certified, 20u);
 }
 
+TEST(Drat, SubsumeOnlyProofsCertifyAgainstOriginalFormula) {
+  // Subsumption alone, on UNSAT CNFs dense in binaries that share a hub
+  // variable, so the one-flip self-subsumption fires. With no unit clauses
+  // in the input, every strengthening counted below comes from that pass,
+  // and the combined proof (its strengthened clauses, then the solver's
+  // learnt ones) must RUP-check against the ORIGINAL formula.
+  Rng rng(20050);
+  InprocessOptions only;
+  only.substitute = only.vivify = only.probe = only.varElim = false;
+  unsigned certified = 0;
+  std::uint64_t strengthened = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    Cnf cnf;
+    cnf.numVars = 5 + rng.below(4);
+    const auto lit = [&](int v) { return rng.coin() ? v : -v; };
+    const auto anyVar = [&] {
+      return 1 + static_cast<int>(rng.below(cnf.numVars));
+    };
+    const int hub = anyVar();
+    const unsigned m = 16 + rng.below(16);
+    for (unsigned i = 0; i < m; ++i) {
+      const int other = anyVar();
+      if (rng.coin()) {
+        if (other != hub) cnf.addClause({lit(hub), lit(other)});
+      } else {
+        cnf.addClause({lit(other), lit(anyVar()), lit(anyVar())});
+      }
+    }
+    Proof proof;
+    const SimplifyResult sr = inprocess(cnf, only, &proof);
+    strengthened += sr.stats.clausesStrengthened;
+    const Result r = sr.provedUnsat
+                         ? Result::Unsat
+                         : solveCnf(sr.cnf, nullptr, nullptr, -1, &proof);
+    if (r != Result::Unsat) continue;
+    EXPECT_EQ(solveCnf(cnf), Result::Unsat) << "iter " << iter;
+    EXPECT_TRUE(checkRup(cnf, proof)) << "iter " << iter;
+    ++certified;
+  }
+  EXPECT_GT(certified, 20u);
+  EXPECT_GT(strengthened, 0u);
+}
+
 TEST(Drat, ProofWithEliminationAndSubstitutionDerivationsChecks) {
   // PHP(4,3) — UNSAT but not refutable by unit propagation alone — with
   // shadow variables equivalent to the first three pigeons (forces the

@@ -7,6 +7,7 @@
 // fuzz corpus must decode identically with the front end on and off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -137,6 +138,62 @@ TEST(Inprocess, FullPipelineAgreesWithBruteForce) {
     const Result r = solveCnfInprocessed(cnf, {}, &model);
     EXPECT_EQ(r == Result::Sat, expect) << "iter " << iter;
     if (r == Result::Sat) EXPECT_TRUE(modelSatisfies(cnf, model));
+  }
+}
+
+TEST(Inprocess, EverySubsumeMaskAgreesWithBruteForce) {
+  // Subsumption composed with every subset of the other passes: the one-flip
+  // strengthening must never refute a satisfiable CNF, and every Sat model
+  // must reconstruct onto the original variables.
+  Rng rng(2005);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const Cnf cnf = randomCnf(rng, /*maxVars=*/10, /*maxClauses=*/40);
+    const bool expect = bruteForceSat(cnf);
+    for (unsigned mask = 0; mask < 16; ++mask) {
+      InprocessOptions o;
+      o.subsume = true;
+      o.substitute = (mask & 1) != 0;
+      o.vivify = (mask & 2) != 0;
+      o.probe = (mask & 4) != 0;
+      o.varElim = (mask & 8) != 0;
+      SimplifyResult sr = inprocess(cnf, o);
+      std::vector<bool> model;
+      const bool sat =
+          !sr.provedUnsat && solveCnf(sr.cnf, &model) == Result::Sat;
+      if (sat) {
+        sr.recon.extend(model);
+        EXPECT_TRUE(modelSatisfies(cnf, model))
+            << "iter " << iter << " mask " << mask;
+      }
+      EXPECT_EQ(sat, expect) << "iter " << iter << " mask " << mask;
+    }
+  }
+}
+
+TEST(Inprocess, NonAdjacentTautologyIsDropped) {
+  // (-1 ∨ 4 ∨ -4) sorts to (-4, -1, 4): the complementary pair is not
+  // adjacent. Kept as a live clause, the unit 1 would shrink it to the
+  // tautology (-4 ∨ 4), and a one-flip self-subsumption by (2 ∨ 4) and
+  // (-2 ∨ -4) would then derive the empty clause from a satisfiable CNF.
+  // Checked with subsumption alone too: with every pass on, substitution
+  // rewrites the clause before subsumption sees it.
+  Cnf cnf;
+  cnf.numVars = 4;
+  cnf.addClause({-1, 4, -4});
+  cnf.addClause({2, 4});
+  cnf.addClause({-2, -4});
+  cnf.addClause({1});
+  ASSERT_TRUE(bruteForceSat(cnf));
+  for (const InprocessOptions& opts : {InprocessOptions{}, singlePass(1)}) {
+    SimplifyResult sr = inprocess(cnf, opts);
+    ASSERT_FALSE(sr.provedUnsat) << "subsume only: " << !opts.substitute;
+    for (const Clause& c : sr.cnf.clauses)
+      for (const CnfLit l : c)
+        EXPECT_EQ(std::count(c.begin(), c.end(), -l), 0) << "literal " << l;
+    std::vector<bool> model;
+    ASSERT_EQ(solveCnf(sr.cnf, &model), Result::Sat);
+    sr.recon.extend(model);
+    EXPECT_TRUE(modelSatisfies(cnf, model));
   }
 }
 
