@@ -129,7 +129,6 @@ void applyCounters(VerifyReport& rep,
     ip.litsRemoved = u64("sat.inprocess.lits_removed");
     ip.varsEliminated = u64("sat.inprocess.vars_eliminated");
     ip.varsSubstituted = u64("sat.inprocess.vars_substituted");
-    ip.failedLiterals = u64("sat.inprocess.failed_literals");
     ip.reconstructionDepth = u64("sat.inprocess.reconstruction_depth");
   }
   if (rep.engine != Engine::Sat) {

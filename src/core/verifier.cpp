@@ -138,7 +138,6 @@ std::vector<std::pair<std::string, std::uint64_t>> reportCounters(
     counters.emplace_back("sat.inprocess.vars_eliminated", ip.varsEliminated);
     counters.emplace_back("sat.inprocess.vars_substituted",
                           ip.varsSubstituted);
-    counters.emplace_back("sat.inprocess.failed_literals", ip.failedLiterals);
     counters.emplace_back("sat.inprocess.reconstruction_depth",
                           ip.reconstructionDepth);
   }

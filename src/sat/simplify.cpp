@@ -28,7 +28,8 @@ class Simplifier {
         val_(in.numVars + 1, 0),
         frozen_(in.numVars + 1, 0),
         eliminated_(in.numVars + 1, 0),
-        occ_(2 * static_cast<std::size_t>(in.numVars) + 2) {
+        occ_(2 * static_cast<std::size_t>(in.numVars) + 2),
+        binByOther_(occ_.size(), kNoClause) {
     if (budget_ != nullptr) budgetSource_ = budget_->registerSource();
     for (std::uint32_t v : frozen) {
       VELEV_CHECK(v >= 1 && v <= n_);
@@ -46,8 +47,6 @@ class Simplifier {
       const std::uint64_t before = mutations_;
       if (opts_.substitute && !done()) substitutePass();
       if (opts_.subsume && !done()) subsumePass();
-      if (opts_.vivify && !done()) vivifyPass();
-      if (opts_.probe && !done()) probePass();
       if (opts_.varElim && !done()) elimPass();
       if (mutations_ == before) break;  // fixpoint
     }
@@ -128,13 +127,8 @@ class Simplifier {
       if (provedUnsat_) return;
       Clause c = orig;
       if (!normalize(c)) continue;  // tautology (no proof step needed)
-      if (c.size() != orig.size()) {
-        // Strengthened against the level-0 units (or deduped): RUP.
-        if (proof_ != nullptr) proof_->add(c);
-        if (c.empty() && proof_ == nullptr) {
-          // pushClause flags provedUnsat; proof already has the {} above.
-        }
-      }
+      // Strengthened against the level-0 units (or deduped): RUP.
+      if (c.size() != orig.size() && proof_ != nullptr) proof_->add(c);
       pushClause(std::move(c));
       if (!pendingUnits_.empty()) propagateUnits();
     }
@@ -169,9 +163,11 @@ class Simplifier {
         killClause(ci, /*emitDelete=*/true);
         ++stats_.clausesRemoved;
       }
-      // Snapshot: strengthening appends to db_ and occurrence lists.
-      const std::vector<std::uint32_t> negOcc = occ_[litIdx(-u)];
-      for (const std::uint32_t ci : negOcc) {
+      // By index: the strengthened clause no longer contains ¬u, so
+      // pushClause never appends to the list walked here.
+      const std::size_t ni = litIdx(-u);
+      for (std::size_t k = 0, end = occ_[ni].size(); k < end; ++k) {
+        const std::uint32_t ci = occ_[ni][k];
         if (live_[ci] == 0) continue;
         Clause c = db_[ci];
         if (!normalize(c)) {  // satisfied by another level-0 unit
@@ -359,8 +355,11 @@ class Simplifier {
       if (subst[v] == 0) continue;
       for (const CnfLit l :
            {static_cast<CnfLit>(v), -static_cast<CnfLit>(v)}) {
-        const std::vector<std::uint32_t> occs = occ_[litIdx(l)];
-        for (const std::uint32_t ci : occs) {
+        // By index: the rewritten clause no longer mentions v, so
+        // pushClause never appends to the list walked here.
+        const std::size_t li = litIdx(l);
+        for (std::size_t k = 0, end = occ_[li].size(); k < end; ++k) {
+          const std::uint32_t ci = occ_[li][k];
           if (live_[ci] == 0 || (ci >= defLo && ci < defHi)) continue;
           Clause c;
           c.reserve(db_[ci].size());
@@ -487,184 +486,7 @@ class Simplifier {
     propagateUnits();
   }
 
-  // ---- counter-based propagation engine (vivification, probing) ------------
-  //
-  // Works on the live database under the invariant that no live clause
-  // mentions an assigned variable. Database mutations are DEFERRED while
-  // the engine is in use (plans are applied after the pass), so the
-  // per-clause counters stay exact.
-
-  struct Engine {
-    Simplifier& s;
-    std::vector<std::int8_t> tval;        // temporary assignment
-    std::vector<CnfLit> trail;
-    std::vector<std::uint32_t> nFalse, nTrue;
-    std::size_t qhead = 0;
-    bool conflict = false;
-
-    explicit Engine(Simplifier& owner)
-        : s(owner),
-          tval(owner.n_ + 1, 0),
-          nFalse(owner.db_.size(), 0),
-          nTrue(owner.db_.size(), 0) {}
-
-    std::int8_t value(CnfLit l) const {
-      const std::int8_t v = tval[static_cast<std::size_t>(std::abs(l))];
-      return l > 0 ? v : static_cast<std::int8_t>(-v);
-    }
-
-    void enqueue(CnfLit l) {
-      if (value(l) != 0) {
-        if (value(l) < 0) conflict = true;
-        return;
-      }
-      tval[static_cast<std::size_t>(std::abs(l))] =
-          static_cast<std::int8_t>(l > 0 ? 1 : -1);
-      trail.push_back(l);
-    }
-
-    /// Propagate to fixpoint, ignoring clause `ignore` (the clause being
-    /// vivified must not shorten itself). Returns true on conflict.
-    bool propagate(std::uint32_t ignore) {
-      while (qhead < trail.size() && !conflict) {
-        const CnfLit p = trail[qhead++];
-        for (const std::uint32_t ci : s.occ_[litIdx(p)]) {
-          if (s.live_[ci] == 0) continue;
-          ++nTrue[ci];
-        }
-        for (const std::uint32_t ci : s.occ_[litIdx(-p)]) {
-          if (s.live_[ci] == 0 || ci == ignore) continue;
-          ++nFalse[ci];
-          if (nTrue[ci] != 0) continue;
-          const std::size_t size = s.db_[ci].size();
-          if (nFalse[ci] == size) {
-            conflict = true;
-            break;
-          }
-          if (nFalse[ci] == size - 1) {
-            for (const CnfLit l : s.db_[ci]) {
-              if (value(l) == 0) {
-                enqueue(l);
-                break;
-              }
-            }
-          }
-        }
-        s.ticks_ += s.occ_[litIdx(p)].size() + s.occ_[litIdx(-p)].size();
-      }
-      return conflict;
-    }
-
-    /// Undo everything past `mark` trail entries.
-    void backtrack(std::size_t mark) {
-      while (trail.size() > mark) {
-        const CnfLit p = trail.back();
-        trail.pop_back();
-        tval[static_cast<std::size_t>(std::abs(p))] = 0;
-        for (const std::uint32_t ci : s.occ_[litIdx(p)])
-          if (s.live_[ci] != 0) --nTrue[ci];
-        for (const std::uint32_t ci : s.occ_[litIdx(-p)])
-          if (s.live_[ci] != 0 && nFalse[ci] > 0) --nFalse[ci];
-        s.ticks_ += s.occ_[litIdx(p)].size() + s.occ_[litIdx(-p)].size();
-      }
-      qhead = trail.size();
-      conflict = false;
-    }
-  };
-
-  // ---- pass 4: vivification ------------------------------------------------
-
-  void vivifyPass() {
-    TRACE_SPAN("sat.inprocess.vivify");
-    Engine eng(*this);
-    struct Plan {
-      std::uint32_t ci;
-      Clause shortened;
-    };
-    std::vector<Plan> plans;
-    const std::uint64_t limit = ticks_ + opts_.vivifyTickLimit;
-    for (std::uint32_t ci = 0; ci < eng.nFalse.size(); ++ci) {
-      if (live_[ci] == 0 || db_[ci].size() < 2) continue;
-      if (ticks_ >= limit || tick()) break;
-      const Clause& c = db_[ci];
-      Clause kept;
-      bool shortened = false;
-      for (const CnfLit l : c) {
-        const std::int8_t v = eng.value(l);
-        if (v > 0) {
-          // ¬(kept) propagated l: the clause kept ∪ {l} is RUP and the
-          // remaining literals are redundant.
-          kept.push_back(l);
-          shortened = kept.size() < c.size();
-          break;
-        }
-        if (v < 0) {
-          shortened = true;  // ¬(kept) propagated ¬l: drop l
-          continue;
-        }
-        eng.enqueue(-l);
-        if (eng.propagate(ci)) {
-          // Conflict: ¬(kept ∪ {l}) refutes by unit propagation.
-          kept.push_back(l);
-          shortened = kept.size() < c.size();
-          break;
-        }
-        kept.push_back(l);
-      }
-      eng.backtrack(0);
-      if (shortened && kept.size() < c.size())
-        plans.push_back({ci, std::move(kept)});
-    }
-    for (Plan& p : plans) {
-      if (done()) return;
-      if (live_[p.ci] == 0) continue;
-      stats_.litsRemoved += db_[p.ci].size() - p.shortened.size();
-      ++stats_.clausesStrengthened;
-      if (proof_ != nullptr) proof_->add(p.shortened);
-      killClause(p.ci, /*emitDelete=*/true);
-      pushClause(std::move(p.shortened));
-    }
-    propagateUnits();
-  }
-
-  // ---- pass 5: failed-literal probing --------------------------------------
-
-  void probePass() {
-    TRACE_SPAN("sat.inprocess.probe");
-    // Probe only literals whose assertion propagates through some binary
-    // clause — the others cannot fail by unit propagation.
-    std::vector<char> isCand(2 * static_cast<std::size_t>(n_) + 2, 0);
-    for (std::size_t ci = 0; ci < db_.size(); ++ci) {
-      if (live_[ci] == 0 || db_[ci].size() != 2) continue;
-      isCand[litIdx(-db_[ci][0])] = 1;
-      isCand[litIdx(-db_[ci][1])] = 1;
-    }
-    Engine eng(*this);
-    std::vector<CnfLit> failed;
-    const std::uint64_t limit = ticks_ + opts_.probeTickLimit;
-    for (std::uint32_t v = 1; v <= n_ && ticks_ < limit; ++v) {
-      if (val_[v] != 0 || eliminated_[v] != 0) continue;
-      for (const CnfLit l :
-           {static_cast<CnfLit>(v), -static_cast<CnfLit>(v)}) {
-        if (isCand[litIdx(l)] == 0) continue;
-        if (tick()) break;
-        eng.enqueue(l);
-        if (eng.propagate(0xffffffffu)) failed.push_back(-l);
-        eng.backtrack(0);
-      }
-      if (done()) break;
-    }
-    for (const CnfLit u : failed) {
-      if (provedUnsat_) return;
-      if (valueOf(u) > 0) continue;  // already derived transitively
-      ++stats_.failedLiterals;
-      if (proof_ != nullptr) proof_->add({u});
-      assign(u);
-      propagateUnits();
-    }
-  }
-
-  // ---- pass 6: bounded variable elimination --------------------------------
+  // ---- pass 4: bounded variable elimination --------------------------------
 
   /// Gate detection for elimination-by-substitution. Shape (for l = +v or
   /// -v): one definition clause D = (l ∨ m1 ∨ ... ∨ mk) plus the binaries
@@ -688,35 +510,39 @@ class Simplifier {
       const CnfLit l = onPos ? static_cast<CnfLit>(v) : -static_cast<CnfLit>(v);
       const auto& defs = onPos ? pos : neg;
       const auto& binSide = onPos ? neg : pos;
-      // Map "other literal" of every live binary (¬l ∨ o) to its clause.
-      binByOther_.clear();
+      // Index every binary (¬l ∨ o) by its other literal o. The first one
+      // in list order wins; the slots are reset before returning.
+      const auto other = [&](std::uint32_t ci) {
+        return db_[ci][0] == -l ? db_[ci][1] : db_[ci][0];
+      };
       for (const std::uint32_t ci : binSide) {
         if (db_[ci].size() != 2) continue;
-        const CnfLit o = db_[ci][0] == -l ? db_[ci][1] : db_[ci][0];
-        binByOther_.emplace_back(o, ci);
+        std::uint32_t& slot = binByOther_[litIdx(other(ci))];
+        if (slot == kNoClause) slot = ci;
       }
-      if (binByOther_.empty()) continue;
+      bool found = false;
       for (const std::uint32_t ci : defs) {
         if (db_[ci].size() < 3) continue;  // binaries are SCC territory
         out.bins.clear();
-        bool ok = true;
+        found = true;
         for (const CnfLit m : db_[ci]) {
           if (m == l) continue;
-          const auto it = std::find_if(
-              binByOther_.begin(), binByOther_.end(),
-              [m](const auto& e) { return e.first == -m; });
-          if (it == binByOther_.end()) {
-            ok = false;
+          const std::uint32_t bin = binByOther_[litIdx(-m)];
+          if (bin == kNoClause) {
+            found = false;
             break;
           }
-          out.bins.push_back(it->second);
+          out.bins.push_back(bin);
         }
-        if (ok) {
+        if (found) {
           out.def = ci;
           out.defOnPos = onPos;
-          return true;
+          break;
         }
       }
+      for (const std::uint32_t ci : binSide)
+        if (db_[ci].size() == 2) binByOther_[litIdx(other(ci))] = kNoClause;
+      if (found) return true;
     }
     return false;
   }
@@ -726,11 +552,13 @@ class Simplifier {
     for (std::uint32_t v = 1; v <= n_; ++v) {
       if (done()) return;
       if (frozen_[v] != 0 || eliminated_[v] != 0 || val_[v] != 0) continue;
-      std::vector<std::uint32_t> pos, neg;
-      for (const std::uint32_t ci : occ_[litIdx(static_cast<CnfLit>(v))])
-        if (live_[ci] != 0) pos.push_back(ci);
-      for (const std::uint32_t ci : occ_[litIdx(-static_cast<CnfLit>(v))])
-        if (live_[ci] != 0) neg.push_back(ci);
+      // Compact in place: earlier eliminations in this pass leave dead ids
+      // behind. Nothing below adds a clause of v, so the lists stay put.
+      auto& pos = occ_[litIdx(static_cast<CnfLit>(v))];
+      auto& neg = occ_[litIdx(-static_cast<CnfLit>(v))];
+      const auto dead = [this](std::uint32_t ci) { return live_[ci] == 0; };
+      std::erase_if(pos, dead);
+      std::erase_if(neg, dead);
       if (pos.empty() && neg.empty()) continue;  // unconstrained already
       if (pos.size() > opts_.elimOccLimit || neg.size() > opts_.elimOccLimit)
         continue;
@@ -831,7 +659,6 @@ class Simplifier {
       c->addCounter("sat.inprocess.vars_eliminated", stats_.varsEliminated);
       c->addCounter("sat.inprocess.vars_substituted",
                     stats_.varsSubstituted);
-      c->addCounter("sat.inprocess.failed_literals", stats_.failedLiterals);
       c->maxCounter("sat.inprocess.reconstruction_depth",
                     stats_.reconstructionDepth);
     }
@@ -856,9 +683,11 @@ class Simplifier {
   std::vector<CnfLit> unitQueue_;
   std::size_t unitHead_ = 0;  // next unitQueue_ entry to propagate
 
-  // Scratch for elimPass/findGate (cleared per use; members to keep the
-  // allocations).
-  std::vector<std::pair<CnfLit, std::uint32_t>> binByOther_;
+  // Scratch for elimPass/findGate (members to keep the allocations).
+  // binByOther_: per literal index, the gate binary found for it, or
+  // kNoClause; findGate leaves every slot at kNoClause.
+  static constexpr std::uint32_t kNoClause = 0xffffffffu;
+  std::vector<std::uint32_t> binByOther_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_;
 
   Reconstructor recon_;

@@ -13,9 +13,7 @@
 //      64-bit literal signatures filter candidates, each clause scans the
 //      two occurrence lists of its least-occurring variable once, and one
 //      merge per candidate decides "subsumes" or "strengthens on l"),
-//   4. vivification (assume the negated clause prefix, shorten on conflict),
-//   5. failed-literal probing,
-//   6. bounded variable elimination (NiVER-style: never increase the
+//   4. bounded variable elimination (NiVER-style: never increase the
 //      clause count).
 //
 // SOUNDNESS CONTRACT. Every transformation is either an equivalence
@@ -32,12 +30,11 @@
 //
 // PROOF CONTRACT. With a Proof attached, every added clause is RUP with
 // respect to the checker database at that point (resolvents, strengthened
-// clauses, failed-literal units, substituted clauses — each is derivable
-// by one unit-propagation refutation), and every deletion mirrors a
-// database removal, so a solver run on the simplified CNF can append its
-// learnt clauses and the combined proof RUP-checks against the ORIGINAL
-// formula. Unit clauses are never deleted from the proof: the simplified
-// CNF re-emits them.
+// clauses, substituted clauses — each is derivable by one unit-propagation
+// refutation), and every deletion mirrors a database removal, so a solver
+// run on the simplified CNF can append its learnt clauses and the combined
+// proof RUP-checks against the ORIGINAL formula. Unit clauses are never
+// deleted from the proof: the simplified CNF re-emits them.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +55,6 @@ struct InprocessOptions {
   bool enabled = true;   // master switch (--no-inprocess clears it)
   bool substitute = true;  // SCC equivalent-literal substitution
   bool subsume = true;     // subsumption + self-subsumption
-  bool vivify = true;      // clause vivification
-  bool probe = true;       // failed-literal probing
   bool varElim = true;     // bounded variable elimination
   unsigned maxRounds = 3;  // pipeline rounds (stops early at a fixpoint)
   /// Variable elimination is skipped when either polarity of the variable
@@ -73,10 +68,6 @@ struct InprocessOptions {
   /// resolvents are generated — the rest are implied — so the growth bound
   /// passes on the definitional variables the AIG translation mass-produces.
   bool elimBySubstitution = true;
-  /// Deterministic work caps (logical "ticks" = clause-literal touches),
-  /// so budget-capped verdicts stay machine-independent.
-  std::uint64_t vivifyTickLimit = 20'000'000;
-  std::uint64_t probeTickLimit = 20'000'000;
 };
 
 struct InprocessStats {
@@ -84,11 +75,10 @@ struct InprocessStats {
   std::uint64_t clausesBefore = 0;
   std::uint64_t clausesAfter = 0;
   std::uint64_t clausesRemoved = 0;      // subsumed + satisfied + eliminated
-  std::uint64_t clausesStrengthened = 0; // self-subsumption + vivification
+  std::uint64_t clausesStrengthened = 0; // units + self-subsumption
   std::uint64_t litsRemoved = 0;         // literals dropped by strengthening
   std::uint64_t varsEliminated = 0;      // bounded variable elimination
   std::uint64_t varsSubstituted = 0;     // equivalent-literal substitution
-  std::uint64_t failedLiterals = 0;      // probing-derived units
   std::uint64_t unitsDerived = 0;        // all level-0 units found
   std::uint64_t reconstructionDepth = 0; // steps on the reconstruction stack
 };

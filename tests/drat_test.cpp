@@ -176,7 +176,8 @@ Cnf randomMixCnf(Rng& rng) {
     cnf.addClause(c);
   }
   // Binary cycles feed the substitution pass; chained implications feed
-  // probing and vivification — the proof must cover every pass's steps.
+  // unit propagation and elimination — the proof must cover every pass's
+  // steps.
   if (rng.coin()) {
     const int a = 1 + static_cast<int>(rng.below(cnf.numVars - 2));
     cnf.addClause({-a, a + 1});
@@ -212,7 +213,7 @@ TEST(Drat, SubsumeOnlyProofsCertifyAgainstOriginalFormula) {
   // learnt ones) must RUP-check against the ORIGINAL formula.
   Rng rng(20050);
   InprocessOptions only;
-  only.substitute = only.vivify = only.probe = only.varElim = false;
+  only.substitute = only.varElim = false;
   unsigned certified = 0;
   std::uint64_t strengthened = 0;
   for (int iter = 0; iter < 300; ++iter) {

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -273,6 +274,45 @@ TEST(Grid, CheckpointRestoresInjectedBugVerdict) {
   EXPECT_TRUE(resumed[0].restored);
   EXPECT_EQ(resumed[0].report.verdict(), Verdict::RewriteMismatch);
   EXPECT_EQ(resumed[0].report.outcome.failedSlice, 2u);
+  std::filesystem::remove(path);
+}
+
+TEST(Grid, CheckpointWithRetiredCounterRestoresCleanly) {
+  // Records written before failed-literal probing was removed from the
+  // SAT front end carry its sat.inprocess.failed_literals counter. Resume
+  // ignores the unknown key: the cell comes back restored, with its
+  // verdict and every counter the current report knows about.
+  const auto cells =
+      makeGridRequests(std::vector<unsigned>{3}, std::vector<unsigned>{1});
+  const std::string path = checkpointPath("retired");
+
+  GridRunOptions opts;
+  opts.checkpointPath = path;
+  const auto baseline = runGrid(cells, opts);
+  ASSERT_EQ(baseline.size(), 1u);
+  ASSERT_TRUE(baseline[0].report.inprocessed);
+
+  std::string body;
+  {
+    std::ifstream is(path);
+    body.assign(std::istreambuf_iterator<char>(is),
+                std::istreambuf_iterator<char>());
+  }
+  const std::string anchor = "\"counters\": {";
+  const std::size_t at = body.find(anchor);
+  ASSERT_NE(at, std::string::npos) << body;
+  body.insert(at + anchor.size(), "\"sat.inprocess.failed_literals\": 2, ");
+  std::ofstream(path) << body;
+
+  opts.resume = true;
+  const auto resumed = runGrid(cells, opts);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_TRUE(resumed[0].restored);
+  EXPECT_EQ(resumed[0].report.verdict(), baseline[0].report.verdict());
+  const auto counters = reportCounters(resumed[0].report);
+  EXPECT_EQ(counters, reportCounters(baseline[0].report));
+  for (const auto& [name, value] : counters)
+    EXPECT_NE(name, "sat.inprocess.failed_literals");
   std::filesystem::remove(path);
 }
 

@@ -72,13 +72,14 @@ bool bruteForceSat(const Cnf& cnf) {
   return false;
 }
 
-InprocessOptions singlePass(int which) {
+// Parameters 0, 1 and 4 run one pass alone (substitute, subsume, varElim);
+// 2 and 3 compose them, so the substitution and elimination steps share one
+// reconstruction stack: 2 is substitute+varElim, 3 all three passes.
+InprocessOptions passSet(int which) {
   InprocessOptions o;
-  o.substitute = which == 0;
-  o.subsume = which == 1;
-  o.vivify = which == 2;
-  o.probe = which == 3;
-  o.varElim = which == 4;
+  o.substitute = which == 0 || which == 2 || which == 3;
+  o.subsume = which == 1 || which == 3;
+  o.varElim = which >= 2;
   return o;
 }
 
@@ -88,7 +89,7 @@ class InprocessPass : public ::testing::TestWithParam<int> {};
 
 TEST_P(InprocessPass, PreservesSatisfiabilityAgainstUntouchedSolver) {
   Rng rng(91u + static_cast<unsigned>(GetParam()) * 7919u);
-  const InprocessOptions opts = singlePass(GetParam());
+  const InprocessOptions opts = passSet(GetParam());
   for (int iter = 0; iter < 120; ++iter) {
     const Cnf cnf = randomCnf(rng);
     const SimplifyResult sr = inprocess(cnf, opts);
@@ -102,7 +103,7 @@ TEST_P(InprocessPass, PreservesSatisfiabilityAgainstUntouchedSolver) {
 
 TEST_P(InprocessPass, ReconstructedModelSatisfiesOriginal) {
   Rng rng(1009u + static_cast<unsigned>(GetParam()) * 104729u);
-  const InprocessOptions opts = singlePass(GetParam());
+  const InprocessOptions opts = passSet(GetParam());
   unsigned satCases = 0;
   for (int iter = 0; iter < 200; ++iter) {
     const Cnf cnf = randomCnf(rng);
@@ -149,13 +150,11 @@ TEST(Inprocess, EverySubsumeMaskAgreesWithBruteForce) {
   for (int iter = 0; iter < 2000; ++iter) {
     const Cnf cnf = randomCnf(rng, /*maxVars=*/10, /*maxClauses=*/40);
     const bool expect = bruteForceSat(cnf);
-    for (unsigned mask = 0; mask < 16; ++mask) {
+    for (unsigned mask = 0; mask < 4; ++mask) {
       InprocessOptions o;
       o.subsume = true;
       o.substitute = (mask & 1) != 0;
-      o.vivify = (mask & 2) != 0;
-      o.probe = (mask & 4) != 0;
-      o.varElim = (mask & 8) != 0;
+      o.varElim = (mask & 2) != 0;
       SimplifyResult sr = inprocess(cnf, o);
       std::vector<bool> model;
       const bool sat =
@@ -184,7 +183,7 @@ TEST(Inprocess, NonAdjacentTautologyIsDropped) {
   cnf.addClause({-2, -4});
   cnf.addClause({1});
   ASSERT_TRUE(bruteForceSat(cnf));
-  for (const InprocessOptions& opts : {InprocessOptions{}, singlePass(1)}) {
+  for (const InprocessOptions& opts : {InprocessOptions{}, passSet(1)}) {
     SimplifyResult sr = inprocess(cnf, opts);
     ASSERT_FALSE(sr.provedUnsat) << "subsume only: " << !opts.substitute;
     for (const Clause& c : sr.cnf.clauses)

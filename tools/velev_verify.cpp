@@ -54,9 +54,9 @@
 //                     strategy (the paper's headline comparison)
 //   --no-inprocess    disable the CNF inprocessing front end of the SAT
 //                     stage (variable elimination, subsumption,
-//                     vivification, probing, equivalent-literal
-//                     substitution) — the pre-simplification baseline, used
-//                     by the benches' before/after comparison
+//                     equivalent-literal substitution) — the
+//                     pre-simplification baseline, used by the benches'
+//                     before/after comparison
 //   --incremental     grid mode only: solve the cells through one shared
 //                     incremental SAT session (activation selectors;
 //                     VSIDS activity, phases and learnt clauses carry
