@@ -26,18 +26,6 @@ struct GridJob {
   VerifyOptions vopts;
 };
 
-/// One cell end to end: fresh context + models, then verifyWith (which
-/// arms the governor) — the one-Context-per-cell rule.
-VerifyReport verifyCell(const models::OoOConfig& cfg,
-                        const models::BugSpec& bug,
-                        const VerifyOptions& opts) {
-  eufm::Context cx;
-  const models::Isa isa = models::Isa::declare(cx);
-  auto impl = models::buildOoO(cx, isa, cfg, bug);
-  auto spec = models::buildSpec(cx, isa);
-  return verifyWith(cx, isa, *impl, *spec, opts);
-}
-
 /// File stem shared by the two per-cell output files.
 std::string cellFileStem(const GridCell& cell, std::size_t index) {
   return "cell_" + std::to_string(index) + "_" +

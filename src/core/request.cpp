@@ -387,11 +387,7 @@ VerifyReport verify(const VerifyRequest& req,
   VerifyOptions opts = req.options();
   opts.satSession = session;
   opts.satMemo = memo;
-  eufm::Context cx;
-  const models::Isa isa = models::Isa::declare(cx);
-  auto impl = models::buildOoO(cx, isa, req.config(), req.bug);
-  auto spec = models::buildSpec(cx, isa);
-  return verifyWith(cx, isa, *impl, *spec, opts);
+  return verifyCell(req.config(), req.bug, opts);
 }
 
 }  // namespace velev::core

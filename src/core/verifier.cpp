@@ -156,6 +156,8 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
                         models::OoOProcessor& impl,
                         models::SpecProcessor& spec,
                         const VerifyOptions& opts) {
+  VELEV_CHECK(opts.proofOut == nullptr ||
+              (opts.satSession == nullptr && opts.satMemo == nullptr));
   VerifyReport rep;
   rep.engine = opts.engine;
   BudgetGovernor gov(opts.budget);
@@ -203,8 +205,9 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
     evc::TranslateOptions topts;
     topts.ufScheme = opts.ufScheme;
     // The Bdd-only engine consumes the AIG directly — skip Tseitin and emit
-    // just the transitivity side clauses. Sat and Both need the full CNF.
-    topts.emitCnf = opts.engine != Engine::Bdd;
+    // just the transitivity side clauses, unless the caller asked for the
+    // CNF. Sat and Both need the full CNF.
+    topts.emitCnf = opts.engine != Engine::Bdd || opts.cnfOut != nullptr;
     topts.pool = pool.get();
 
     // 2. Rewriting rules (optional): prove & remove the updates of the
@@ -247,6 +250,7 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
     }();
     rep.evcStats = tr.stats;
     rep.outcome.seconds.translate = timer.seconds();
+    if (opts.cnfOut != nullptr) *opts.cnfOut = tr.cnf;
 
     // 4. Decision engine(s): the design is correct iff the negated formula
     //    is unsatisfiable — by CNF + CDCL, by ROBDD reduction to the false
@@ -319,7 +323,8 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
           } else {
             rep.outcome.satResult = sat::solveCnfInprocessed(
                 tr.cnf, opts.inprocess, nullptr, &rep.satStats,
-                opts.budget.satConflicts, nullptr, &gov, &rep.inprocessStats);
+                opts.budget.satConflicts, opts.proofOut, &gov,
+                &rep.inprocessStats);
             rep.inprocessed = opts.inprocess.enabled;
             if (memo != nullptr && !gov.exceeded())
               memo->store(mkey, {rep.outcome.satResult, rep.satStats,
@@ -412,6 +417,16 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
     rep.outcome.reason = e.what();
     return finish(budgetVerdict(e.kind()));
   }
+}
+
+VerifyReport verifyCell(const models::OoOConfig& cfg,
+                        const models::BugSpec& bug,
+                        const VerifyOptions& opts) {
+  eufm::Context cx;
+  const models::Isa isa = models::Isa::declare(cx);
+  auto impl = models::buildOoO(cx, isa, cfg, bug);
+  auto spec = models::buildSpec(cx, isa);
+  return verifyWith(cx, isa, *impl, *spec, opts);
 }
 
 }  // namespace velev::core

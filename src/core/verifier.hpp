@@ -109,6 +109,17 @@ struct VerifyOptions {
   /// buys wall clock on the big-N cells of the paper-scale sweep. Not part
   /// of the serializable VerifyRequest (scheduling, not semantics).
   unsigned jobs = 1;
+
+  // -- output sinks (not owned; null = not wanted) ----------------------------
+  /// Filled with the translated CNF before the decision engine runs (the
+  /// CLI's --dump-cnf, and the formula a DRAT proof is checked against).
+  /// Under Engine::Bdd it forces the Tseitin CNF to be emitted anyway.
+  prop::Cnf* cnfOut = nullptr;
+  /// Receives the DRAT proof of the fresh-solver SAT path (inprocessing
+  /// steps first, then the solver's), certifying an Unsat answer against
+  /// the CNF `cnfOut` receives. Must be null when satSession or satMemo is
+  /// set: neither a shared session nor a replayed solve produces a proof.
+  sat::Proof* proofOut = nullptr;
 };
 
 enum class Verdict {
@@ -179,8 +190,8 @@ struct ContextStats {
 };
 
 /// Fill a ContextStats by one linear scan of the DAG. verifyWith() calls it
-/// when a run finishes; callers that hand-roll the pipeline (velev_verify's
-/// single mode) use it the same way.
+/// when a run finishes; perfbench's layer-split replay of the pipeline
+/// calls it the same way.
 ContextStats scanContext(const eufm::Context& cx);
 
 struct VerifyReport {
@@ -235,6 +246,14 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
                         models::OoOProcessor& impl,
                         models::SpecProcessor& spec,
                         const VerifyOptions& opts = {});
+
+/// One cell end to end: a fresh eufm::Context, the implementation and
+/// specification models of `cfg` (with `bug` injected), then verifyWith()
+/// — the one-Context-per-cell rule. verify(const VerifyRequest&), the grid
+/// runner and velev_verify's single mode all run through here.
+VerifyReport verifyCell(const models::OoOConfig& cfg,
+                        const models::BugSpec& bug,
+                        const VerifyOptions& opts);
 
 }  // namespace velev::core
 

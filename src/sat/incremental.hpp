@@ -73,7 +73,6 @@ class IncrementalSession {
     budget_ = governor;
     solver_.setBudget(governor);
   }
-  void setCancel(const std::atomic<bool>* flag) { solver_.setCancel(flag); }
 
   std::size_t calls() const { return calls_; }
   /// Learnt clauses currently retained by the shared solver.

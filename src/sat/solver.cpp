@@ -28,7 +28,7 @@ std::int64_t luby(std::int64_t x) {
 
 }  // namespace
 
-Solver::Solver(Options opts) : opts_(opts), rng_(opts.seed) {
+Solver::Solver(Options opts) : opts_(opts) {
   conflictsUntilReduce_ = opts_.reduceBase;
 }
 
@@ -36,9 +36,7 @@ void Solver::ensureVars(std::uint32_t numVars) {
   while (nVars_ < numVars) {
     const Var v = static_cast<Var>(nVars_++);
     assigns_.push_back(LBool::Undef);
-    // Default phase: negative (UNSAT-friendly); portfolio instances may
-    // diversify the starting phases instead.
-    polarity_.push_back(opts_.randomInitPhase ? (rng_.coin() ? 1 : 0) : 1);
+    polarity_.push_back(1);  // default phase: negative (UNSAT-friendly)
     level_.push_back(0);
     reason_.push_back(kCRefUndef);
     frozen_.push_back(0);
@@ -342,16 +340,6 @@ void Solver::backtrack(std::uint32_t btLevel) {
 }
 
 Solver::Lit Solver::pickBranchLit() {
-  // Portfolio diversification: occasionally branch on a random unassigned
-  // variable instead of the VSIDS choice (the variable stays in the heap;
-  // later pops skip it once assigned).
-  if (opts_.randomDecisionFreq > 0 && nVars_ > 0 &&
-      rng_.unit() < opts_.randomDecisionFreq) {
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      const Var v = static_cast<Var>(rng_.below(nVars_));
-      if (assigns_[v] == LBool::Undef) return mkLit(v, polarity_[v] != 0);
-    }
-  }
   while (!heap_.empty()) {
     const Var v = heapPop();
     if (assigns_[v] == LBool::Undef)
@@ -455,7 +443,7 @@ Result Solver::solve(std::span<const prop::CnfLit> assumptions,
   std::vector<Lit> learnt;
 
   for (;;) {
-    if (cancelled() || pollBudget()) return Result::Unknown;
+    if (pollBudget()) return Result::Unknown;
     const CRef conflict = propagate();
     if (conflict != kCRefUndef) {
       ++stats_.conflicts;
@@ -579,15 +567,6 @@ std::vector<std::uint32_t> Solver::frozenVars() const {
   std::vector<std::uint32_t> out;
   for (std::uint32_t v = 0; v < nVars_; ++v)
     if (frozen_[v] != 0) out.push_back(v + 1);
-  return out;
-}
-
-std::vector<prop::Clause> Solver::retainedLearnts(std::uint32_t maxLbd) const {
-  std::vector<prop::Clause> out;
-  for (const CRef c : learntRefs_) {
-    if (arena_[c + 1] > maxLbd) continue;
-    out.push_back(toDimacs({clauseLits(c), clauseSize(c)}));
-  }
   return out;
 }
 

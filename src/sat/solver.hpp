@@ -13,14 +13,12 @@
 // maps back to the abstract processor's control signals (a counterexample).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "prop/cnf.hpp"
 #include "sat/drat.hpp"
-#include "support/rng.hpp"
 
 namespace velev {
 class BudgetGovernor;
@@ -36,12 +34,6 @@ struct Options {
   int lubyUnit = 512;          // conflicts per restart-unit
   int reduceBase = 2000;       // conflicts before first DB reduction
   int reduceIncrement = 300;   // growth of the reduction interval
-
-  // Diversification knobs for the seed portfolio (sat/portfolio.hpp). The
-  // defaults leave the solver bit-for-bit deterministic, as before.
-  std::uint64_t seed = 0;          // seeds the tie-breaking RNG
-  double randomDecisionFreq = 0;   // P(decision picks a random unassigned var)
-  bool randomInitPhase = false;    // randomize the initial saved phases
 };
 
 struct Stats {
@@ -104,11 +96,6 @@ class Solver {
   bool isFrozen(std::uint32_t dimacsVar) const;
   std::vector<std::uint32_t> frozenVars() const;
 
-  /// Snapshot of the retained learnt clauses with LBD <= maxLbd, in DIMACS
-  /// form. Every returned clause is implied by the problem clauses added so
-  /// far (CDCL learnt clauses are consequences of the database), so the
-  /// snapshot can warm-start another solver on the same formula.
-  std::vector<prop::Clause> retainedLearnts(std::uint32_t maxLbd = 6) const;
   std::size_t numLearnts() const { return learntRefs_.size(); }
   std::size_t numProblemClauses() const { return problemRefs_.size(); }
 
@@ -124,21 +111,11 @@ class Solver {
   /// can be certified with checkRup().
   void setProof(Proof* proof) { proof_ = proof; }
 
-  /// Cooperative cancellation: solve() polls `flag` once per propagation
-  /// round and returns Result::Unknown when it becomes true. The atomic
-  /// must outlive the solve call; pass nullptr to detach. This is how the
-  /// seed portfolio stops the losing solvers after the first verdict.
-  void setCancel(const std::atomic<bool>* flag) { cancel_ = flag; }
-  bool cancelled() const {
-    return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
-  }
-
-  /// Cooperative resource governance, alongside the cancellation hook:
-  /// solve() polls the governor once per propagation round (reporting the
-  /// clause arena's logical bytes) and returns Result::Unknown when a
-  /// budget is exhausted. A solver never throws mid-propagation — the
-  /// caller disambiguates Unknown via BudgetGovernor::exceeded(). The
-  /// governor may be shared by all instances of a portfolio.
+  /// Cooperative resource governance: solve() polls the governor once per
+  /// propagation round (reporting the clause arena's logical bytes) and
+  /// returns Result::Unknown when a budget is exhausted. A solver never
+  /// throws mid-propagation — the caller disambiguates Unknown via
+  /// BudgetGovernor::exceeded().
   void setBudget(BudgetGovernor* governor);
   BudgetGovernor* budgetGovernor() const { return budget_; }
 
@@ -259,8 +236,6 @@ class Solver {
   std::int64_t conflictsUntilReduce_ = 0;
   int reduceCount_ = 0;
 
-  Rng rng_;
-  const std::atomic<bool>* cancel_ = nullptr;
   BudgetGovernor* budget_ = nullptr;
   int budgetSource_ = -1;
   Proof* proof_ = nullptr;

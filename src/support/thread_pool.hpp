@@ -1,7 +1,7 @@
 // Work-stealing thread pool for the parallel verification paths: the grid
-// runner in core/, the SAT seed portfolio in sat/, and the intra-cell
-// stages (rewrite slice loop in rewrite/, sharded Tseitin emission in
-// prop/, component-parallel transitivity in evc/).
+// runner in core/ and the intra-cell stages (rewrite slice loop in
+// rewrite/, sharded Tseitin emission in prop/, component-parallel
+// transitivity in evc/).
 //
 // Design:
 //   * a fixed number of workers, each with its own deque: the owner pushes
@@ -140,7 +140,14 @@ class ThreadPool {
       std::lock_guard<std::mutex> lk(queues_[victim]->mutex);
       queues_[victim]->tasks.push_back(std::move(task));
     }
-    queued_.fetch_add(1, std::memory_order_release);
+    {
+      // Under sleepMutex_: an idle worker checks `queued_` holding it, so
+      // the increment lands before that check or after the worker blocks —
+      // never in between, where notify_one() would find no waiter and the
+      // task would sit in the deque with every worker asleep.
+      std::lock_guard<std::mutex> lk(sleepMutex_);
+      queued_.fetch_add(1, std::memory_order_release);
+    }
     cv_.notify_one();
   }
 

@@ -1,6 +1,7 @@
 // End-to-end tests for the `velev_verify` command-line tool: exit codes
-// for correct vs. buggy designs, DIMACS export round-trips through
-// sat::Solver, DRAT proof self-check, and --jobs invariance (parallel
+// for correct vs. buggy designs, single-mode reports identical to the
+// library's core::verify(), DIMACS export round-trips through sat::Solver,
+// DRAT proof self-check, and --jobs/--cell-jobs invariance (parallel
 // verdicts identical to sequential ones). The binary path is injected by
 // CMake as VELEV_VERIFY_BIN.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <string>
 #include <sys/wait.h>
 
+#include "core/request.hpp"
 #include "core/verifier.hpp"
 #include "prop/cnf.hpp"
 #include "sat/solver.hpp"
@@ -75,6 +77,67 @@ TEST(Cli, UsageErrorExitsTwo) {
   EXPECT_EQ(runCli("--bug nonsense").exitCode, 2);
   EXPECT_EQ(runCli("--grid 2x4").exitCode, 2);  // impossible cell
   EXPECT_EQ(runCli("--jobs 0").exitCode, 2);
+  // A single run is one cell: intra-cell parallelism is --cell-jobs.
+  EXPECT_EQ(runCli("--size 4 --width 2 --jobs 2").exitCode, 2);
+}
+
+TEST(Cli, SingleModeMatchesLibrary) {
+  // Single mode is a front end over core::verify(): the --json verdict,
+  // reason and canonical counter block must equal the library's report for
+  // the same request, on every strategy/engine/verdict shape.
+  auto request = [](unsigned n, unsigned k, models::BugSpec bug = {},
+                    bool peOnly = false, core::Engine e = core::Engine::Sat) {
+    core::VerifyRequest r;
+    r.robSize = n;
+    r.issueWidth = k;
+    r.bug = bug;
+    if (peOnly) r.strategy = core::Strategy::PositiveEqualityOnly;
+    r.engine = e;
+    return r;
+  };
+  struct Case {
+    const char* args;
+    core::VerifyRequest req;
+  };
+  const Case cases[] = {
+      {"--size 4 --width 2", request(4, 2)},
+      {"--size 8 --width 2 --bug fwd:3",
+       request(8, 2, {models::BugKind::ForwardingWrongOperand, 3})},
+      {"--size 2 --width 1 --strategy pe --bug stale:2",
+       request(2, 1, {models::BugKind::ForwardingStaleResult, 2}, true)},
+      {"--size 2 --width 2 --strategy pe --engine bdd",
+       request(2, 2, {}, true, core::Engine::Bdd)},
+  };
+
+  const std::string jsonPath = tmpPath("cli_single_vs_library.json");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.args);
+    const core::VerifyReport lib = core::verify(c.req);
+    const CliResult r =
+        runCli(std::string(c.args) + " --json " + jsonPath + " --quiet");
+    EXPECT_EQ(r.exitCode, core::verdictExitCode(lib.verdict())) << r.output;
+
+    std::ifstream in(jsonPath);
+    ASSERT_TRUE(in.good());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::string err;
+    const auto doc = parseJson(ss.str(), &err);
+    ASSERT_TRUE(doc.has_value()) << err;
+    const JsonValue* cells = doc->find("cells");
+    ASSERT_NE(cells, nullptr);
+    ASSERT_EQ(cells->array.size(), 1u);
+    const JsonValue& cell = cells->array[0];
+    EXPECT_EQ(cell.stringAt("verdict"), core::verdictName(lib.verdict()));
+    EXPECT_EQ(cell.stringAt("reason"), lib.outcome.reason);
+
+    const JsonValue* counters = cell.find("counters");
+    ASSERT_NE(counters, nullptr);
+    std::vector<std::pair<std::string, std::uint64_t>> cli;
+    for (const auto& [name, value] : counters->object)
+      cli.emplace_back(name, static_cast<std::uint64_t>(value.number));
+    EXPECT_EQ(cli, core::reportCounters(lib));
+  }
 }
 
 TEST(Cli, UnknownEngineIsAUsageError) {
@@ -173,19 +236,25 @@ TEST(Cli, VerdictHelpersRoundTripEveryVerdict) {
 }
 
 TEST(Cli, DimacsExportRoundTripsThroughSolver) {
-  const std::string cnfPath = tmpPath("cli_export.cnf");
-  const CliResult r = runCli("--size 2 --width 1 --strategy pe --dump-cnf " +
-                             cnfPath + " --quiet");
-  EXPECT_EQ(r.exitCode, 0) << r.output;
+  // The BDD engine skips Tseitin on its own; --dump-cnf must still get the
+  // full correctness CNF out of it.
+  for (const char* engine : {"sat", "bdd"}) {
+    SCOPED_TRACE(engine);
+    const std::string cnfPath = tmpPath("cli_export.cnf");
+    const CliResult r =
+        runCli(std::string("--size 2 --width 1 --strategy pe --engine ") +
+               engine + " --dump-cnf " + cnfPath + " --quiet");
+    EXPECT_EQ(r.exitCode, 0) << r.output;
 
-  std::ifstream in(cnfPath);
-  ASSERT_TRUE(in.good());
-  const prop::Cnf cnf = prop::parseDimacs(in);
-  EXPECT_GT(cnf.numVars, 0u);
-  EXPECT_GT(cnf.numClauses(), 0u);
-  // The exported correctness CNF must agree with the in-process verdict:
-  // UNSAT (the design is correct).
-  EXPECT_EQ(sat::solveCnf(cnf), sat::Result::Unsat);
+    std::ifstream in(cnfPath);
+    ASSERT_TRUE(in.good());
+    const prop::Cnf cnf = prop::parseDimacs(in);
+    EXPECT_GT(cnf.numVars, 0u);
+    EXPECT_GT(cnf.numClauses(), 0u);
+    // The exported correctness CNF must agree with the in-process verdict:
+    // UNSAT (the design is correct).
+    EXPECT_EQ(sat::solveCnf(cnf), sat::Result::Unsat);
+  }
 }
 
 TEST(Cli, ProofIsSelfCheckedOnUnsat) {
@@ -201,14 +270,6 @@ TEST(Cli, ProofIsSelfCheckedOnUnsat) {
   EXPECT_FALSE(first.empty());
 }
 
-TEST(Cli, PortfolioProofIsSelfCheckedWithJobs) {
-  const std::string proofPath = tmpPath("cli_proof_jobs.drat");
-  const CliResult r = runCli("--size 2 --width 1 --strategy pe --jobs 3 " +
-                             ("--proof " + proofPath) + " --quiet");
-  EXPECT_EQ(r.exitCode, 0) << r.output;
-  EXPECT_NE(r.output.find("self-check PASSED"), std::string::npos) << r.output;
-}
-
 TEST(Cli, JobsVerdictsIdenticalToSequential) {
   const std::string grid = "--grid 'sizes=2,3,4;widths=1,2' --quiet";
   const CliResult seq = runCli(grid + " --jobs 1");
@@ -217,14 +278,6 @@ TEST(Cli, JobsVerdictsIdenticalToSequential) {
   EXPECT_EQ(par.exitCode, seq.exitCode) << par.output;
   EXPECT_EQ(verdictLines(par.output), verdictLines(seq.output));
   EXPECT_NE(verdictLines(seq.output), "");
-}
-
-TEST(Cli, SinglePortfolioVerdictMatchesSequential) {
-  const CliResult seq = runCli("--size 2 --width 2 --strategy pe --quiet");
-  const CliResult par =
-      runCli("--size 2 --width 2 --strategy pe --jobs 4 --quiet");
-  EXPECT_EQ(seq.exitCode, 0) << seq.output;
-  EXPECT_EQ(par.exitCode, 0) << par.output;
 }
 
 TEST(Cli, CellJobsVerdictsIdenticalToSequential) {
@@ -296,7 +349,8 @@ TEST(Cli, GridWithInjectedBugExitsOneEverywhere) {
 TEST(Cli, TraceWritesPerfettoTraceAndVersionedManifest) {
   const std::string dir = tmpPath("cli_trace");
   const CliResult r =
-      runCli("--size 4 --width 2 --jobs 2 --stats --trace " + dir + " --quiet");
+      runCli("--size 4 --width 2 --cell-jobs 2 --stats --trace " + dir +
+             " --quiet");
   EXPECT_EQ(r.exitCode, 0) << r.output;
   // --stats prints the stage tree and counters to stderr (merged in).
   EXPECT_NE(r.output.find("stage tree"), std::string::npos) << r.output;
@@ -326,14 +380,12 @@ TEST(Cli, TraceWritesPerfettoTraceAndVersionedManifest) {
   EXPECT_EQ(m->find("config")->uintAt("rob_size"), 4u);
   const JsonValue* counters = m->find("counters");
   ASSERT_NE(counters, nullptr);
-  // The acceptance counters: encoding sizes, rewrite effort, per-seed SAT.
+  // The acceptance counters: encoding sizes, rewrite effort, SAT effort.
   EXPECT_GT(counters->uintAt("evc.p_equations"), 0u);
   EXPECT_GT(counters->uintAt("rewrite.rules_fired"), 0u);
   EXPECT_GT(counters->uintAt("cnf.vars"), 0u);
   EXPECT_NE(counters->find("evc.eij_vars"), nullptr);
-  EXPECT_NE(counters->find("sat.seed0.conflicts"), nullptr);
-  EXPECT_NE(counters->find("sat.seed1.conflicts"), nullptr);
-  EXPECT_NE(counters->find("sat.winner_seed"), nullptr);
+  EXPECT_NE(counters->find("sat.conflicts"), nullptr);
 }
 
 TEST(Cli, GridTraceWritesPerCellAndMergedManifests) {

@@ -10,7 +10,6 @@
 #include "evc/translate.hpp"
 #include "models/spec.hpp"
 #include "sat/drat.hpp"
-#include "sat/portfolio.hpp"
 #include "sat/simplify.hpp"
 #include "sat/solver.hpp"
 #include "support/rng.hpp"
@@ -329,41 +328,6 @@ TEST(Drat, AssumptionUnsatProofChecksUnderAssumptions) {
   EXPECT_FALSE(checkRup(cnf, proof));
   // The session is not poisoned: without the assumptions, still SAT.
   EXPECT_EQ(s.solve(), Result::Sat);
-}
-
-TEST(Drat, PortfolioWinnerProofChecksUnderAssumptions) {
-  // The portfolio's combined proof (shared inprocessing front end with
-  // the assumption variables frozen, then the winner's clauses) must
-  // certify "cnf ∧ assumptions is UNSAT" against the ORIGINAL formula.
-  Rng rng(777);
-  unsigned certified = 0;
-  for (int iter = 0; iter < 80; ++iter) {
-    Cnf cnf;
-    cnf.numVars = 6 + rng.below(4);
-    const unsigned m = 14 + rng.below(20);
-    for (unsigned i = 0; i < m; ++i) {
-      Clause c;
-      const unsigned len = 2 + rng.below(2);
-      for (unsigned j = 0; j < len; ++j) {
-        const int v = 1 + static_cast<int>(rng.below(cnf.numVars));
-        c.push_back(rng.coin() ? v : -v);
-      }
-      cnf.addClause(c);
-    }
-    const prop::CnfLit assume[] = {
-        rng.coin() ? 1 : -1,
-        static_cast<prop::CnfLit>(rng.coin() ? 2 : -2)};
-    PortfolioOptions popts;
-    popts.instances = 2;
-    popts.wantProof = true;
-    popts.assumptions.assign(std::begin(assume), std::end(assume));
-    PortfolioReport rep;
-    if (solvePortfolio(cnf, popts, &rep) != Result::Unsat) continue;
-    EXPECT_TRUE(checkRupUnderAssumptions(cnf, assume, rep.proof))
-        << "iter " << iter;
-    ++certified;
-  }
-  EXPECT_GT(certified, 10u);
 }
 
 TEST(Drat, InprocessedProcessorProofIsCertified) {

@@ -1,7 +1,7 @@
 // Tests for the work-stealing thread pool: result delivery, ordering
 // independence, exception propagation, and cooperative cancellation of
-// queued tasks (the properties the parallel grid runner and the SAT seed
-// portfolio depend on).
+// queued tasks (the properties the parallel grid runner and the intra-cell
+// sharding depend on).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -132,6 +132,24 @@ TEST(ThreadPool, ManyMoreTasksThanWorkersAllSteal) {
     futures.push_back(pool.submit([&sum, i] { sum += i; }));
   for (auto& f : futures) f.get();
   EXPECT_EQ(sum.load(), 1000L * 1001 / 2);
+}
+
+TEST(ThreadPool, SubmitRacingAnIdlingWorkerIsNeverLost) {
+  // A submit that lands while the only worker is between its empty-queue
+  // check and blocking must still wake it. Sweeping the delay after
+  // construction over the worker's start-up time hits that window (a
+  // push that bumped the task count outside the sleep mutex lost the
+  // wakeup within a few thousand rounds, hanging the caller forever).
+  using Clock = std::chrono::steady_clock;
+  for (int round = 0; round < 20000; ++round) {
+    ThreadPool pool(1);
+    const auto until = Clock::now() + std::chrono::microseconds(round % 200);
+    while (Clock::now() < until) {
+    }
+    std::future<int> f = pool.submit([] { return 1; });
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+        << "round " << round;
+  }
 }
 
 }  // namespace

@@ -85,8 +85,8 @@ TEST(Trace, ReattachingSameCollectorKeepsThreadIdentity) {
   Use outer(&c);
   TRACE_SPAN("parent");
   {
-    // The k=1 portfolio path: re-attach the already-active collector on the
-    // same thread. Nesting must continue, not restart on a fresh tid.
+    // Re-attach the already-active collector on the same thread (a nested
+    // trace::Use). Nesting must continue, not restart on a fresh tid.
     Use inner(&c);
     TRACE_SPAN("child");
   }

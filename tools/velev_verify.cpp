@@ -15,9 +15,9 @@
 //                     SPEC is either "sizes=A,B,..;widths=X,Y,.." (cross
 //                     product, cells with width > size dropped) or an
 //                     explicit cell list "NxK,NxK,..."
-//   --jobs N          parallelism (default 1). Grid mode: worker threads,
-//                     one (N, k) cell per task. Single mode: SAT seed
-//                     portfolio of N racing solver instances.
+//   --jobs N          grid mode: worker threads, one (N, k) cell per task
+//                     (default 1). A single run is one cell, so N > 1 is a
+//                     usage error there — use --cell-jobs
 //   --cell-jobs N     intra-cell parallelism (default 1): shard the rewrite
 //                     slice checks and the CNF build (Tseitin + one
 //                     transitivity component per worker) across N threads
@@ -90,13 +90,11 @@
 // 3 inconclusive/skipped, 4 timeout/memout. Grid mode aggregates by
 // severity: any bug -> 1, else any timeout/memout -> 4, else any
 // inconclusive/skipped -> 3, else 0.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -266,16 +264,20 @@ void printCellLine(const core::GridCellResult& r) {
     std::printf("cell %ux%u: restored from checkpoint\n", n, k);
 }
 
-int aggregateExitCode(const std::vector<core::GridCellResult>& results) {
-  // Severity order across cells: refuted > budget-exceeded > inconclusive.
+/// The more severe of two exit codes, in the order refuted (1) >
+/// budget-exceeded (4) > inconclusive (3) > correct (0). Grid and --connect
+/// runs fold their per-cell codes with it.
+int worseExitCode(int a, int b) {
   auto severity = [](int code) {
     return code == 1 ? 3 : code == 4 ? 2 : code == 3 ? 1 : 0;
   };
+  return severity(b) > severity(a) ? b : a;
+}
+
+int aggregateExitCode(const std::vector<core::GridCellResult>& results) {
   int worst = 0;
-  for (const auto& r : results) {
-    const int code = core::verdictExitCode(r.report.verdict());
-    if (severity(code) > severity(worst)) worst = code;
-  }
+  for (const auto& r : results)
+    worst = worseExitCode(worst, core::verdictExitCode(r.report.verdict()));
   return worst;
 }
 
@@ -310,9 +312,6 @@ int runConnectMode(const char* endpoint,
   }
   Timer total;
   std::vector<core::ReportCell> cells;
-  auto severity = [](int code) {
-    return code == 1 ? 3 : code == 4 ? 2 : code == 3 ? 1 : 0;
-  };
   int worst = 0;
   std::uint64_t id = 1;
   for (core::VerifyRequest& r : requests) {
@@ -331,7 +330,7 @@ int runConnectMode(const char* endpoint,
     std::printf("cell %ux%u: %s%s (%.3f s)\n", r.robSize, r.issueWidth,
                 core::verdictName(resp->verdict),
                 resp->cached ? " [cached]" : "", resp->wallSeconds);
-    if (severity(resp->exitCode) > severity(worst)) worst = resp->exitCode;
+    worst = worseExitCode(worst, resp->exitCode);
     cells.push_back(responseCell(r, *resp));
   }
   if (!quiet)
@@ -340,6 +339,145 @@ int runConnectMode(const char* endpoint,
   if (jsonPath)
     writeJsonReport(jsonPath, mode, 1, cells, total.seconds());
   return worst;
+}
+
+/// Progress lines of a single run, printed from the report: one per stage
+/// that finished (a budget trip leaves the later stages' stats at zero).
+void printProgress(const core::VerifyReport& rep) {
+  const core::StageSeconds& s = rep.outcome.seconds;
+  if (rep.simStats.cycles > 0)
+    std::printf("simulated commutative diagram in %.3f s (%llu signal "
+                "evaluations)\n",
+                s.sim,
+                static_cast<unsigned long long>(rep.simStats.signalEvals));
+  if (rep.rewriteStats.slicesChecked > 0 &&
+      rep.verdict() != core::Verdict::RewriteMismatch)
+    std::printf("rewriting rules removed %u updates in %.3f s\n",
+                rep.updatesRemoved, s.rewrite);
+  const evc::TranslationStats& ev = rep.evcStats;
+  if (ev.cnfVars > 0) {
+    // Tseitin emits at least the negated root's clause, so a CNF holding
+    // only the transitivity clauses means the BDD engine skipped it.
+    if (ev.cnfClauses > ev.transitivity.clauses)
+      std::printf("translated to CNF in %.3f s: %zu vars, %zu clauses, "
+                  "%u e_ij variables\n",
+                  s.translate, ev.cnfVars, ev.cnfClauses, ev.eijVars);
+    else
+      std::printf("translated in %.3f s: %u propositional inputs, "
+                  "%u transitivity clauses, %u e_ij variables\n",
+                  s.translate, ev.totalPrimaryVars(), ev.transitivity.clauses,
+                  ev.eijVars);
+  }
+}
+
+/// The stdout verdict line of a single run, from the report alone.
+void printVerdict(const core::VerifyReport& rep) {
+  const core::Outcome& o = rep.outcome;
+  const core::Verdict v = o.verdict;
+  if (v == core::Verdict::RewriteMismatch) {
+    std::printf("verdict: NON-CONFORMING SLICE %u (%s) after %.3f s\n",
+                o.failedSlice, o.reason.c_str(), o.seconds.rewrite);
+    return;
+  }
+  if (rep.engine == core::Engine::Both) {
+    std::printf("verdict: %s (cross-checked)\n", core::verdictName(v));
+    return;
+  }
+  const bool bdd = rep.engine == core::Engine::Bdd;
+  const double sec = bdd ? o.seconds.bdd : o.seconds.sat;
+  switch (v) {
+    case core::Verdict::Correct:
+      std::printf("verdict: CORRECT (%s in %.3f s)\n",
+                  bdd ? "BDD reduced to false" : "UNSAT", sec);
+      break;
+    case core::Verdict::CounterexampleFound:
+      std::printf("verdict: COUNTEREXAMPLE FOUND (%s in %.3f s)\n",
+                  bdd ? "satisfying path" : "SAT", sec);
+      break;
+    case core::Verdict::Timeout:
+    case core::Verdict::MemOut:
+      std::printf("verdict: %s (%s after %.3f s)\n",
+                  v == core::Verdict::MemOut ? "OUT OF MEMORY" : "TIMEOUT",
+                  o.reason.c_str(), o.seconds.total());
+      break;
+    default:
+      std::printf("verdict: INCONCLUSIVE (budget exhausted after %.3f s)\n",
+                  sec);
+      break;
+  }
+}
+
+/// Single mode: the request runs through core::verifyCell, the pipeline
+/// every front end shares, and every line is printed from the returned
+/// report. The CLI-only artifacts come back through the two VerifyOptions
+/// sinks: the translated CNF (--dump-cnf, and the formula a --proof is
+/// checked against) and the DRAT proof.
+int runSingleMode(const core::VerifyRequest& req, unsigned cellJobs,
+                  const char* dumpCnf, const char* proofPath,
+                  const char* jsonPath, const char* traceDir, bool stats,
+                  bool quiet) {
+  core::VerifyOptions vopts = req.options();
+  vopts.jobs = cellJobs;
+  prop::Cnf cnf;
+  sat::Proof proof;
+  if (dumpCnf || proofPath) vopts.cnfOut = &cnf;
+  if (proofPath) vopts.proofOut = &proof;
+
+  // One Collector for the run when --trace or --stats asked for it;
+  // verifyWith() records its spans and counter block into it.
+  trace::Collector collector;
+  const bool collecting = traceDir != nullptr || stats;
+  Timer total;
+  core::GridCellResult res;
+  res.cell = core::GridCell{req.robSize, req.issueWidth, req.bug};
+  {
+    trace::Use tracing(collecting ? &collector : nullptr);
+    res.report = core::verifyCell(req.config(), req.bug, vopts);
+  }
+  res.wallSeconds = total.seconds();
+  res.memHighWaterKb = rssHighWaterKb();
+  const core::VerifyReport& rep = res.report;
+
+  if (!quiet) printProgress(rep);
+  if (dumpCnf) {
+    std::ofstream out(dumpCnf);
+    prop::writeDimacs(cnf, out);
+    if (!quiet) std::printf("wrote DIMACS to %s\n", dumpCnf);
+  }
+  if (!quiet && rep.bddStats.nodesPeak > 0)
+    std::printf("bdd: %llu peak nodes, %llu reorderings, %llu/%llu cache "
+                "hits\n",
+                static_cast<unsigned long long>(rep.bddStats.nodesPeak),
+                static_cast<unsigned long long>(rep.bddStats.reorderings),
+                static_cast<unsigned long long>(rep.bddStats.cacheHits),
+                static_cast<unsigned long long>(rep.bddStats.cacheLookups));
+  if (proofPath && rep.outcome.satResult == sat::Result::Unsat) {
+    const bool certified = sat::checkRup(cnf, proof);
+    std::ofstream out(proofPath);
+    sat::writeDrat(proof, out);
+    std::printf("proof: %zu steps, self-check %s, written to %s\n",
+                proof.size(), certified ? "PASSED" : "FAILED", proofPath);
+    if (!certified) return 2;
+  }
+  printVerdict(rep);
+
+  if (jsonPath)
+    writeJsonReport(jsonPath, "single", 1, {core::makeReportCell(res)},
+                    total.seconds());
+  if (stats) collector.writeStageTree(std::cerr);
+  if (traceDir) {
+    std::filesystem::create_directories(traceDir);
+    const std::string dir = traceDir;
+    if (std::ofstream os(dir + "/trace.json"); os)
+      collector.writeChromeTrace(os);
+    if (std::ofstream os(dir + "/manifest.json"); os)
+      trace::writeManifest(os, core::cellManifestData(res, vopts),
+                           &collector);
+    if (!quiet)
+      std::printf("trace: wrote %s/trace.json and %s/manifest.json\n",
+                  traceDir, traceDir);
+  }
+  return core::verdictExitCode(rep.verdict());
 }
 
 }  // namespace
@@ -498,351 +636,11 @@ int main(int argc, char** argv) {
   }
 
   if (width < 1 || width > size) usage("need 1 <= width <= size");
-
-  // The whole single-configuration pipeline runs under one governor; a
-  // budget exhausted anywhere unwinds to the handler at the bottom and
-  // degrades into a timeout/memout verdict.
-  BudgetGovernor gov(budget);
-
-  // --cell-jobs: worker pool for the rewrite slice checks and the CNF
-  // build. Output is identical to the sequential path for any pool size.
-  std::unique_ptr<ThreadPool> cellPool;
-  if (cellJobs > 1) cellPool = std::make_unique<ThreadPool>(cellJobs);
-
-  // Observability: one Collector for the whole run when --trace or --stats
-  // asked for it, attached thread-locally so every pipeline layer below
-  // (and the portfolio's workers) records into it.
-  trace::Collector collector;
-  const bool collecting = traceDir != nullptr || stats;
-  trace::Use tracing(collecting ? &collector : nullptr);
-
-  // Declared before finishJson so the closing accounting can scan the DAG
-  // and read the portfolio's per-instance statistics.
-  eufm::Context cx;
-  cx.setBudget(&gov);
-  sat::PortfolioReport prep;
-
-  // Mirrors of the flag set, for the manifest's config block.
-  core::VerifyOptions vopts;
-  vopts.strategy = peOnly ? core::Strategy::PositiveEqualityOnly
-                          : core::Strategy::RewritingPlusPositiveEquality;
-  vopts.engine = engine;
-  vopts.budget = budget;
-  vopts.sim.coneOfInfluence = coi;
-  vopts.inprocess.enabled = !noInprocess;
-
-  // Collected for --json (single-cell report reuses the grid schema).
-  Timer total;
-  core::GridCellResult cellOut;
-  cellOut.cell = core::GridCell{size, width, bug};
-  cellOut.report.engine = engine;
-  auto finishJson = [&](core::Verdict v) {
-    cellOut.report.outcome.verdict = v;
-    // max, not assign: under --engine both the BDD side already recorded
-    // its sibling governor's peak.
-    cellOut.report.outcome.peakArenaBytes =
-        std::max(cellOut.report.outcome.peakArenaBytes, gov.peakArenaBytes());
-    cellOut.report.outcome.rssHighWaterKb = rssHighWaterKb();
-    cellOut.report.cxStats = core::scanContext(cx);
-    cellOut.wallSeconds = total.seconds();
-    cellOut.memHighWaterKb = rssHighWaterKb();
-    if (jsonPath)
-      writeJsonReport(jsonPath, "single", jobs, {core::makeReportCell(cellOut)},
-                      total.seconds());
-    if (collecting) {
-      // Publish the canonical counter block plus the per-seed SAT effort
-      // on the collector: the manifest merges the collector's counters, and
-      // --stats prints them under the stage tree.
-      for (const auto& [name, value] : core::reportCounters(cellOut.report))
-        collector.setCounter(name, value);
-      for (std::size_t s = 0; s < prep.instanceStats.size(); ++s) {
-        const std::string p = "sat.seed" + std::to_string(s) + ".";
-        const sat::Stats& st = prep.instanceStats[s];
-        collector.setCounter(p + "decisions", st.decisions);
-        collector.setCounter(p + "propagations", st.propagations);
-        collector.setCounter(p + "conflicts", st.conflicts);
-        collector.setCounter(p + "restarts", st.restarts);
-      }
-      if (prep.winner >= 0) {
-        collector.setCounter("sat.winner",
-                             static_cast<std::uint64_t>(prep.winner));
-        collector.setCounter("sat.winner_seed", prep.winnerSeed);
-      }
-      if (stats) collector.writeStageTree(std::cerr);
-      if (traceDir) {
-        std::filesystem::create_directories(traceDir);
-        const std::string dir = traceDir;
-        if (std::ofstream os(dir + "/trace.json"); os)
-          collector.writeChromeTrace(os);
-        if (std::ofstream os(dir + "/manifest.json"); os)
-          trace::writeManifest(os, core::cellManifestData(cellOut, vopts),
-                               &collector);
-        if (!quiet)
-          std::printf("trace: wrote %s/trace.json and %s/manifest.json\n",
-                      traceDir, traceDir);
-      }
-    }
-    return core::verdictExitCode(v);
-  };
-
-  try {
-  // Build + simulate.
-  const models::Isa isa = models::Isa::declare(cx);
-  const models::OoOConfig cfg{size, width};
-  auto impl = models::buildOoO(cx, isa, cfg, bug);
-  auto spec = models::buildSpec(cx, isa);
-  tlsim::SimOptions simOpts;
-  simOpts.coneOfInfluence = coi;
-  Timer t;
-  const core::Diagram d = [&] {
-    TRACE_SPAN("verify.sim");
-    return core::buildDiagram(cx, *impl, *spec, simOpts);
-  }();
-  const double simSec = t.seconds();
-  cellOut.report.simStats = d.implSimStats;
-  cellOut.report.outcome.seconds.sim = simSec;
-  if (!quiet)
-    std::printf("simulated commutative diagram in %.3f s (%llu signal "
-                "evaluations)\n",
-                simSec,
-                static_cast<unsigned long long>(
-                    d.implSimStats.signalEvals + d.flushSimStats.signalEvals));
-
-  // Rewriting rules (unless PE-only).
-  eufm::Expr correctness = d.correctness;
-  evc::TranslateOptions topts;
-  if (!peOnly) {
-    t.reset();
-    const rewrite::RewriteResult rw = [&] {
-      TRACE_SPAN("verify.rewrite");
-      return rewrite::rewriteRobUpdates(cx, isa, impl->init, cfg,
-                                        d.implRegFile, d.specRegFile,
-                                        cellPool.get());
-    }();
-    cellOut.report.rewriteStats = rw.stats;
-    cellOut.report.outcome.seconds.rewrite = t.seconds();
-    if (!rw.ok) {
-      std::printf("verdict: NON-CONFORMING SLICE %u (%s) after %.3f s\n",
-                  rw.failedSlice, rw.message.c_str(), t.seconds());
-      cellOut.report.outcome.failedSlice = rw.failedSlice;
-      cellOut.report.outcome.reason = rw.message;
-      return finishJson(core::Verdict::RewriteMismatch);
-    }
-    cellOut.report.updatesRemoved = rw.updatesRemoved;
-    if (!quiet)
-      std::printf("rewriting rules removed %u updates in %.3f s\n",
-                  rw.updatesRemoved, t.seconds());
-    eufm::Expr c = cx.mkFalse();
-    for (unsigned m = 0; m < d.specPc.size(); ++m)
-      c = cx.mkOr(c, cx.mkAnd(cx.mkEq(d.implPc, d.specPc[m]),
-                              cx.mkEq(rw.implRegFile, rw.specRegFile[m])));
-    correctness = c;
-    topts.conservativeMemory = true;
-  }
-
-  // Translate. The pure-BDD engine skips Tseitin entirely (the CNF then
-  // carries only the transitivity constraints) — unless --dump-cnf still
-  // wants the DIMACS file.
-  topts.emitCnf = engine != core::Engine::Bdd || dumpCnf != nullptr;
-  topts.pool = cellPool.get();
-  t.reset();
-  const evc::Translation tr = [&] {
-    TRACE_SPAN("verify.translate");
-    return evc::translate(cx, correctness, topts);
-  }();
-  cellOut.report.evcStats = tr.stats;
-  cellOut.report.outcome.seconds.translate = t.seconds();
-  if (!quiet) {
-    if (topts.emitCnf)
-      std::printf("translated to CNF in %.3f s: %u vars, %zu clauses, "
-                  "%u e_ij variables\n",
-                  t.seconds(), tr.cnf.numVars, tr.cnf.numClauses(),
-                  tr.stats.eijVars);
-    else
-      std::printf("translated in %.3f s: %u propositional inputs, "
-                  "%u transitivity clauses, %u e_ij variables\n",
-                  t.seconds(), tr.pctx->numVars(),
-                  tr.stats.transitivity.clauses, tr.stats.eijVars);
-  }
-  if (dumpCnf) {
-    std::ofstream out(dumpCnf);
-    prop::writeDimacs(tr.cnf, out);
-    if (!quiet) std::printf("wrote DIMACS to %s\n", dumpCnf);
-  }
-
-  // Solve with the selected engine(s). Under --engine both each engine's
-  // verdict line carries an engine prefix and the final "verdict:" line is
-  // the cross-checked result; for a single engine the historical output
-  // format is unchanged.
-  struct SideVerdict {
-    core::Verdict v = core::Verdict::Inconclusive;
-    std::string reason;
-    bool conclusive() const {
-      return v == core::Verdict::Correct ||
-             v == core::Verdict::CounterexampleFound;
-    }
-  };
-  std::optional<SideVerdict> satSide, bddSide;
-  const bool both = engine == core::Engine::Both;
-
-  if (engine != core::Engine::Bdd) {
-    // SAT — with a seed portfolio of `jobs` racing instances when jobs > 1.
-    const char* label = both ? "sat verdict" : "verdict";
-    sat::PortfolioOptions popts;
-    popts.instances = jobs;
-    popts.conflictBudget = budget.satConflicts;
-    popts.wantProof = proofPath != nullptr;
-    popts.budget = &gov;
-    popts.inprocess = vopts.inprocess;
-    t.reset();
-    const sat::Result r = [&] {
-      TRACE_SPAN("verify.sat");
-      return sat::solvePortfolio(tr.cnf, popts, &prep);
-    }();
-    const double satSec = t.seconds();
-    cellOut.report.satStats = prep.winnerStats;
-    cellOut.report.inprocessed = popts.inprocess.enabled;
-    cellOut.report.inprocessStats = prep.inprocessStats;
-    cellOut.report.outcome.satResult = r;
-    cellOut.report.outcome.seconds.sat = satSec;
-    if (!quiet && jobs > 1)
-      std::printf("portfolio: %u instances, instance %d (seed %llu) won\n",
-                  jobs, prep.winner,
-                  static_cast<unsigned long long>(prep.winnerSeed));
-    SideVerdict s;
-    switch (r) {
-      case sat::Result::Unsat:
-        if (proofPath) {
-          const bool certified = sat::checkRup(tr.cnf, prep.proof);
-          std::ofstream out(proofPath);
-          sat::writeDrat(prep.proof, out);
-          std::printf("proof: %zu steps, self-check %s, written to %s\n",
-                      prep.proof.size(), certified ? "PASSED" : "FAILED",
-                      proofPath);
-          if (!certified) return 2;
-        }
-        std::printf("%s: CORRECT (UNSAT in %.3f s)\n", label, satSec);
-        s.v = core::Verdict::Correct;
-        break;
-      case sat::Result::Sat:
-        std::printf("%s: COUNTEREXAMPLE FOUND (SAT in %.3f s)\n", label,
-                    satSec);
-        s.v = core::Verdict::CounterexampleFound;
-        break;
-      default:
-        if (gov.exceeded()) {
-          const bool mem = gov.exceededKind() == BudgetKind::Memory;
-          std::printf("%s: %s (%s after %.3f s)\n", label,
-                      mem ? "OUT OF MEMORY" : "TIMEOUT",
-                      gov.exceededReason().c_str(), satSec);
-          s.v = mem ? core::Verdict::MemOut : core::Verdict::Timeout;
-          s.reason = gov.exceededReason();
-        } else {
-          std::printf("%s: INCONCLUSIVE (budget exhausted after %.3f s)\n",
-                      label, satSec);
-          s.v = core::Verdict::Inconclusive;
-        }
-        break;
-    }
-    satSide = s;
-    if (engine == core::Engine::Sat) {
-      cellOut.report.outcome.reason = s.reason;
-      return finishJson(s.v);
-    }
-  }
-
-  {
-    // BDD. Under `both` it runs on a sibling governor armed from the same
-    // budget, so a SAT-side exhaustion never starves it (and vice versa).
-    const char* label = both ? "bdd verdict" : "verdict";
-    BudgetGovernor sibling(budget);
-    BudgetGovernor& bddGov = both ? sibling : gov;
-    bdd::CheckOptions copts;
-    copts.governor = &bddGov;
-    t.reset();
-    const bdd::CheckResult res = [&] {
-      TRACE_SPAN("verify.bdd");
-      return bdd::checkValidity(*tr.pctx, tr.validityRoot,
-                                tr.transitivityClauses(), copts);
-    }();
-    const double bddSec = t.seconds();
-    cellOut.report.bddStats = res.stats;
-    cellOut.report.outcome.seconds.bdd = bddSec;
-    cellOut.report.outcome.peakArenaBytes = std::max(
-        cellOut.report.outcome.peakArenaBytes, bddGov.peakArenaBytes());
-    if (!quiet)
-      std::printf("bdd: %llu peak nodes, %llu reorderings, %llu/%llu cache "
-                  "hits\n",
-                  static_cast<unsigned long long>(res.stats.nodesPeak),
-                  static_cast<unsigned long long>(res.stats.reorderings),
-                  static_cast<unsigned long long>(res.stats.cacheHits),
-                  static_cast<unsigned long long>(res.stats.cacheLookups));
-    SideVerdict s;
-    switch (res.status) {
-      case bdd::CheckStatus::Valid:
-        std::printf("%s: CORRECT (BDD reduced to false in %.3f s)\n", label,
-                    bddSec);
-        s.v = core::Verdict::Correct;
-        break;
-      case bdd::CheckStatus::Falsifiable: {
-        std::printf("%s: COUNTEREXAMPLE FOUND (satisfying path in %.3f s)\n",
-                    label, bddSec);
-        s.v = core::Verdict::CounterexampleFound;
-        // Decode the path through the same inverse the fuzzer uses. The
-        // concrete-replay half needs the PE translation of the original
-        // correctness formula, so it only runs on --strategy pe.
-        const fuzz::Counterexample cex = fuzz::decodeModel(
-            cx, tr, res.model, peOnly ? &d : nullptr,
-            peOnly ? impl.get() : nullptr);
-        if (!quiet) {
-          std::printf("counterexample: %zu control bits, %zu e_ij "
-                      "equalities, decode %s\n",
-                      cex.bools.size(), cex.eijs.size(),
-                      cex.transitive && cex.falsifiesUfRoot ? "consistent"
-                                                            : "INCONSISTENT");
-          if (!cex.prettySlice.empty())
-            std::printf("%s\n", cex.prettySlice.c_str());
-        }
-        break;
-      }
-      case bdd::CheckStatus::Unknown: {
-        const bool mem = res.tripKind == BudgetKind::Memory;
-        std::printf("%s: %s (%s after %.3f s)\n", label,
-                    mem ? "OUT OF MEMORY" : "TIMEOUT", res.reason.c_str(),
-                    bddSec);
-        s.v = mem ? core::Verdict::MemOut : core::Verdict::Timeout;
-        s.reason = res.reason;
-        break;
-      }
-    }
-    bddSide = s;
-    if (engine == core::Engine::Bdd) {
-      cellOut.report.outcome.reason = s.reason;
-      return finishJson(s.v);
-    }
-  }
-
-  // --engine both: cross-check, then report the stronger side.
-  if (satSide->conclusive() && bddSide->conclusive() &&
-      satSide->v != bddSide->v) {
-    std::fprintf(stderr,
-                 "error: engine disagreement: SAT says %s but BDD says %s\n",
-                 core::verdictName(satSide->v), core::verdictName(bddSide->v));
-    return 2;
-  }
-  const SideVerdict chosen = satSide->conclusive()   ? *satSide
-                             : bddSide->conclusive() ? *bddSide
-                                                     : *satSide;
-  std::printf("verdict: %s (cross-checked)\n", core::verdictName(chosen.v));
-  cellOut.report.outcome.reason = chosen.reason;
-  return finishJson(chosen.v);
-  } catch (const BudgetExceeded& e) {
-    const bool mem = e.kind() == BudgetKind::Memory;
-    std::printf("verdict: %s (%s after %.3f s)\n",
-                mem ? "OUT OF MEMORY" : "TIMEOUT", e.what(), total.seconds());
-    cellOut.report.outcome.reason = e.what();
-    return finishJson(mem ? core::Verdict::MemOut : core::Verdict::Timeout);
-  }
+  if (jobs > 1)
+    usage("--jobs applies to grid mode only (a single run is one cell; "
+          "--cell-jobs N parallelizes inside it)");
+  return runSingleMode(base, cellJobs, dumpCnf, proofPath, jsonPath,
+                       traceDir, stats, quiet);
   } catch (const InternalError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
