@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 
+#include "support/atomic_file.hpp"
 #include "support/json.hpp"
 #include "support/mem.hpp"
 #include "support/timer.hpp"
@@ -190,11 +191,11 @@ GridCellResult restoredResult(const GridCell& cell,
 }
 
 /// The checkpoint file of one grid run: an append-only (by key) record set
-/// rewritten wholesale — write to `<path>.tmp`, then rename over the
-/// target, so a SIGKILL mid-write leaves the previous complete version in
-/// place and never a torn file. All mutation is serialized on one mutex;
-/// saves happen at cell granularity (seconds of work), so contention is
-/// irrelevant next to durability.
+/// rewritten wholesale through replaceFileAtomically(), so a SIGKILL or a
+/// failed write (full disk, file-size limit) leaves the previous complete
+/// version in place and never a torn file. All mutation is serialized on
+/// one mutex; saves happen at cell granularity (seconds of work), so
+/// contention is irrelevant next to durability.
 class CheckpointStore {
  public:
   explicit CheckpointStore(std::string path) : path_(std::move(path)) {}
@@ -267,10 +268,7 @@ class CheckpointStore {
  private:
   void writeLocked() {
     TRACE_SPAN("grid.checkpoint.save");
-    const std::string tmp = path_ + ".tmp";
-    {
-      std::ofstream os(tmp);
-      if (!os) return;
+    const bool saved = replaceFileAtomically(path_, [&](std::ostream& os) {
       JsonWriter w(os);
       w.beginObject();
       w.kv("version", kGridCheckpointSchemaVersion);
@@ -305,10 +303,8 @@ class CheckpointStore {
       }
       w.endArray();
       w.endObject();
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path_, ec);
-    trace::counterAdd("grid.checkpoint.saves", 1);
+    });
+    if (saved) trace::counterAdd("grid.checkpoint.saves", 1);
   }
 
   std::string path_;
@@ -318,8 +314,7 @@ class CheckpointStore {
 };
 
 GridCellResult runCell(const GridJob& job, const GridRunOptions& opts,
-                       std::size_t index,
-                       sat::IncrementalSession* session = nullptr) {
+                       std::size_t index) {
   GridCellResult res;
   res.cell = job.cell;
   Timer t;
@@ -334,7 +329,6 @@ GridCellResult runCell(const GridJob& job, const GridRunOptions& opts,
     // rule; see the header), so budgets are strictly per cell.
     const models::OoOConfig cfg{job.cell.robSize, job.cell.issueWidth};
     VerifyOptions vopts = job.vopts;
-    vopts.satSession = session;
     // Intra-cell parallelism: semantically invisible (identical verdicts
     // and counters), so layering it on here never perturbs a checkpoint.
     if (opts.cellJobs > 1) vopts.jobs = opts.cellJobs;
@@ -347,7 +341,6 @@ GridCellResult runCell(const GridJob& job, const GridRunOptions& opts,
       res.firstVerdict = res.report.outcome.verdict;
       VerifyOptions retry = job.vopts;
       retry.strategy = Strategy::RewritingPlusPositiveEquality;
-      retry.satSession = nullptr;  // different strategy, fresh solver
       if (opts.cellJobs > 1) retry.jobs = opts.cellJobs;
       res.report = verifyCell(cfg, job.cell.bug, retry);
     }
@@ -396,7 +389,6 @@ void writeGridManifest(const std::string& dir, const GridRunOptions& opts,
       "fallback", opts.fallback == FallbackPolicy::RetryWithRewriting
                       ? "retry-with-rewriting"
                       : "none");
-  m.config.emplace_back("incremental", opts.incremental ? "true" : "false");
   m.config.emplace_back(
       "inprocess", sharedOrMixed(jobs, [](const GridJob& j) {
         return std::string(j.vopts.inprocess.enabled ? "true" : "false");
@@ -494,15 +486,7 @@ std::vector<GridCellResult> runGridImpl(std::span<const GridJob> jobs,
     ckpt->add(makeRecord(keys[i], results[i]));
   };
 
-  if (opts.jobs <= 1 || opts.incremental) {
-    // One shared incremental session for the whole (sequential) grid: the
-    // session is single-threaded by design, so `incremental` overrides
-    // `jobs`. Its inprocessing knobs come from the first job — a session
-    // simplifies one clause database, not one per cell.
-    sat::IncrementalSession session(
-        {}, jobs.empty() ? sat::InprocessOptions{}
-                         : jobs.front().vopts.inprocess);
-    sat::IncrementalSession* shared = opts.incremental ? &session : nullptr;
+  if (opts.jobs <= 1) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       if (restoredRec[i].has_value()) {
         results[i] = restoredResult(jobs[i].cell, *restoredRec[i]);
@@ -512,7 +496,7 @@ std::vector<GridCellResult> runGridImpl(std::span<const GridJob> jobs,
         results[i] = skippedCell(jobs[i].cell);
         continue;
       }
-      results[i] = runCell(jobs[i], opts, i, shared);
+      results[i] = runCell(jobs[i], opts, i);
       persistCell(i);
     }
     if (traced)

@@ -82,7 +82,10 @@ enum class FallbackPolicy {
 /// the per-cell VerifyRequests (so a grid may mix strategies, engines and
 /// budgets); this struct only says HOW to run them.
 struct GridRunOptions {
-  unsigned jobs = 1;  // worker threads; 1 = run in the calling thread
+  /// Worker threads across cells; 1 = run in the calling thread. Every
+  /// cell solves on its own fresh solver, so verdicts and counters are
+  /// identical for any value.
+  unsigned jobs = 1;
   FallbackPolicy fallback = FallbackPolicy::None;
   /// When non-empty: each cell attaches its own trace::Collector (the
   /// one-Collector-per-cell analogue of the one-Context-per-cell rule) and
@@ -91,15 +94,6 @@ struct GridRunOptions {
   /// merged `manifest.json` summing stage times and counters over the grid.
   /// The directory is created if missing.
   std::string traceDir;
-  /// Share one incremental SAT session (sat/incremental.hpp) across the
-  /// grid: VSIDS activities, saved phases and retained learnt clauses
-  /// carry from cell to cell, which pays exactly where cells are closely
-  /// related (same strategy, adjacent N/width). Forces sequential
-  /// execution — the session is single-threaded by design, mirroring the
-  /// one-Context-per-cell rule — so `jobs` is treated as 1. A fallback
-  /// retry (different strategy => different variable skeleton) always runs
-  /// on a fresh solver.
-  bool incremental = false;
   /// When non-empty: after every finished (non-skipped) cell the runner
   /// atomically rewrites this checkpoint file (schema in docs/SCALING.md,
   /// versioned like manifest.json) with one record per completed cell,

@@ -156,8 +156,7 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
                         models::OoOProcessor& impl,
                         models::SpecProcessor& spec,
                         const VerifyOptions& opts) {
-  VELEV_CHECK(opts.proofOut == nullptr ||
-              (opts.satSession == nullptr && opts.satMemo == nullptr));
+  VELEV_CHECK(opts.proofOut == nullptr || opts.satMemo == nullptr);
   VerifyReport rep;
   rep.engine = opts.engine;
   BudgetGovernor gov(opts.budget);
@@ -259,8 +258,7 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
       // Timing benches stop before CDCL, but the inprocessing pipeline
       // still runs (attributed to the SAT stage) so the before/after CNF
       // sizes land in the report — Table 4's encoding-size comparison.
-      if (opts.engine != Engine::Bdd && opts.inprocess.enabled &&
-          opts.satSession == nullptr) {
+      if (opts.engine != Engine::Bdd && opts.inprocess.enabled) {
         timer.reset();
         stage = &rep.outcome.seconds.sat;
         {
@@ -290,46 +288,34 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
       stage = &rep.outcome.seconds.sat;
       {
         TRACE_SPAN("verify.sat");
-        if (opts.satSession != nullptr) {
-          // Shared incremental session (grid runner): the session carries
-          // activities/phases/learnts across cells; this run's governor is
-          // attached only for the duration of the call.
-          opts.satSession->setBudget(&gov);
-          rep.outcome.satResult = opts.satSession->solveCell(
-              tr.cnf, {}, nullptr, &rep.satStats, &rep.inprocessStats,
-              opts.budget.satConflicts);
-          opts.satSession->setBudget(nullptr);
-          rep.inprocessed = true;
+        // Content-addressed solve memo (serve batching lane): an identical
+        // CNF under identical options replays the stored result and
+        // per-call stats — bit for bit what the fresh deterministic solve
+        // below would produce. Only conclusive results are ever stored,
+        // and never from a tripped governor.
+        sat::SolveMemo* memo = opts.satMemo;
+        const std::uint64_t mkey =
+            memo != nullptr ? sat::SolveMemo::key(tr.cnf, opts.inprocess,
+                                                  opts.budget.satConflicts)
+                            : 0;
+        const sat::SolveMemo::Entry* replay =
+            memo != nullptr ? memo->find(mkey) : nullptr;
+        if (replay != nullptr) {
+          rep.outcome.satResult = replay->result;
+          rep.satStats = replay->stats;
+          rep.inprocessStats = replay->inprocessStats;
+          rep.inprocessed = replay->inprocessed;
+          if (trace::Collector* c = trace::active())
+            c->addCounter("sat.memo.hits", 1);
         } else {
-          // Content-addressed solve memo (serve batching lane): an
-          // identical CNF under identical options replays the stored
-          // result and per-call stats — bit for bit what the fresh
-          // deterministic solve below would produce. Only conclusive
-          // results are ever stored, and never from a tripped governor.
-          sat::SolveMemo* memo = opts.satMemo;
-          const std::uint64_t mkey =
-              memo != nullptr ? sat::SolveMemo::key(tr.cnf, opts.inprocess,
-                                                    opts.budget.satConflicts)
-                              : 0;
-          const sat::SolveMemo::Entry* replay =
-              memo != nullptr ? memo->find(mkey) : nullptr;
-          if (replay != nullptr) {
-            rep.outcome.satResult = replay->result;
-            rep.satStats = replay->stats;
-            rep.inprocessStats = replay->inprocessStats;
-            rep.inprocessed = replay->inprocessed;
-            if (trace::Collector* c = trace::active())
-              c->addCounter("sat.memo.hits", 1);
-          } else {
-            rep.outcome.satResult = sat::solveCnfInprocessed(
-                tr.cnf, opts.inprocess, nullptr, &rep.satStats,
-                opts.budget.satConflicts, opts.proofOut, &gov,
-                &rep.inprocessStats);
-            rep.inprocessed = opts.inprocess.enabled;
-            if (memo != nullptr && !gov.exceeded())
-              memo->store(mkey, {rep.outcome.satResult, rep.satStats,
-                                 rep.inprocessStats, rep.inprocessed});
-          }
+          rep.outcome.satResult = sat::solveCnfInprocessed(
+              tr.cnf, opts.inprocess, nullptr, &rep.satStats,
+              opts.budget.satConflicts, opts.proofOut, &gov,
+              &rep.inprocessStats);
+          rep.inprocessed = opts.inprocess.enabled;
+          if (memo != nullptr && !gov.exceeded())
+            memo->store(mkey, {rep.outcome.satResult, rep.satStats,
+                               rep.inprocessStats, rep.inprocessed});
         }
       }
       rep.outcome.seconds.sat = timer.seconds();

@@ -20,21 +20,16 @@ using prop::CnfLit;
 class Simplifier {
  public:
   Simplifier(const prop::Cnf& in, const InprocessOptions& opts, Proof* proof,
-             BudgetGovernor* budget, std::span<const std::uint32_t> frozen)
+             BudgetGovernor* budget)
       : opts_(opts),
         proof_(proof),
         budget_(budget),
         n_(in.numVars),
         val_(in.numVars + 1, 0),
-        frozen_(in.numVars + 1, 0),
         eliminated_(in.numVars + 1, 0),
         occ_(2 * static_cast<std::size_t>(in.numVars) + 2),
         binByOther_(occ_.size(), kNoClause) {
     if (budget_ != nullptr) budgetSource_ = budget_->registerSource();
-    for (std::uint32_t v : frozen) {
-      VELEV_CHECK(v >= 1 && v <= n_);
-      frozen_[v] = 1;
-    }
     stats_.clausesBefore = in.clauses.size();
     load(in);
   }
@@ -273,8 +268,8 @@ class Simplifier {
       }
     }
 
-    // Representative literal per SCC: frozen variables win (they must not
-    // be substituted away), then lowest variable, positive before negative.
+    // Representative literal per SCC: lowest variable, positive before
+    // negative — the first literal of the SCC in node order.
     const auto idxLit = [](std::uint32_t i) -> CnfLit {
       const auto v = static_cast<CnfLit>(i / 2 + 1);
       return (i & 1) != 0 ? -v : v;
@@ -285,17 +280,7 @@ class Simplifier {
       const auto v = static_cast<std::size_t>(std::abs(l));
       if (eliminated_[v] != 0 || val_[v] != 0) continue;
       CnfLit& r = rep[comp[i]];
-      if (r == 0) {
-        r = l;
-        continue;
-      }
-      const bool lFrozen = frozen_[v] != 0;
-      const bool rFrozen = frozen_[static_cast<std::size_t>(std::abs(r))] != 0;
-      if (lFrozen != rFrozen) {
-        if (lFrozen) r = l;
-      } else if (std::abs(l) < std::abs(r)) {
-        r = l;
-      }
+      if (r == 0) r = l;
     }
 
     // x ≡ ¬x: the binary chains refute both polarities — UNSAT.
@@ -317,7 +302,7 @@ class Simplifier {
     std::vector<CnfLit> subst(n_ + 1, 0);
     bool any = false;
     for (std::uint32_t v = 1; v <= n_; ++v) {
-      if (frozen_[v] != 0 || eliminated_[v] != 0 || val_[v] != 0) continue;
+      if (eliminated_[v] != 0 || val_[v] != 0) continue;
       const CnfLit r = rep[comp[litIdx(static_cast<CnfLit>(v))]];
       if (r == 0 || std::abs(r) == static_cast<CnfLit>(v)) continue;
       subst[v] = r;
@@ -551,7 +536,7 @@ class Simplifier {
     TRACE_SPAN("sat.inprocess.elim");
     for (std::uint32_t v = 1; v <= n_; ++v) {
       if (done()) return;
-      if (frozen_[v] != 0 || eliminated_[v] != 0 || val_[v] != 0) continue;
+      if (eliminated_[v] != 0 || val_[v] != 0) continue;
       // Compact in place: earlier eliminations in this pass leave dead ids
       // behind. Nothing below adds a clause of v, so the lists stay put.
       auto& pos = occ_[litIdx(static_cast<CnfLit>(v))];
@@ -675,7 +660,6 @@ class Simplifier {
   std::vector<std::uint64_t> sig_;  // literal signature per clause
   std::vector<char> live_;
   std::vector<std::int8_t> val_;
-  std::vector<char> frozen_;
   std::vector<char> eliminated_;
   std::vector<std::vector<std::uint32_t>> occ_;
 
@@ -745,8 +729,7 @@ void Reconstructor::extend(std::vector<bool>& model) const {
 }
 
 SimplifyResult inprocess(const prop::Cnf& in, const InprocessOptions& opts,
-                         Proof* proof, BudgetGovernor* budget,
-                         std::span<const std::uint32_t> frozen) {
+                         Proof* proof, BudgetGovernor* budget) {
   if (!opts.enabled) {
     // Exact pass-through (not even clause normalization), so --no-inprocess
     // reproduces the historical pipeline bit for bit.
@@ -755,18 +738,17 @@ SimplifyResult inprocess(const prop::Cnf& in, const InprocessOptions& opts,
     out.stats.clausesBefore = out.stats.clausesAfter = in.clauses.size();
     return out;
   }
-  Simplifier s(in, opts, proof, budget, frozen);
+  Simplifier s(in, opts, proof, budget);
   return s.run();
 }
 
 Result solveCnfInprocessed(const prop::Cnf& cnf, const InprocessOptions& iopts,
                            std::vector<bool>* model, Stats* stats,
                            std::int64_t conflictBudget, Proof* proof,
-                           BudgetGovernor* budget, InprocessStats* istats,
-                           std::span<const std::uint32_t> frozen) {
+                           BudgetGovernor* budget, InprocessStats* istats) {
   if (!iopts.enabled)
     return solveCnf(cnf, model, stats, conflictBudget, proof, budget);
-  SimplifyResult sr = inprocess(cnf, iopts, proof, budget, frozen);
+  SimplifyResult sr = inprocess(cnf, iopts, proof, budget);
   if (istats != nullptr) *istats = sr.stats;
   // Even a provedUnsat simplification goes through solveCnf (the simplified
   // CNF contains the empty clause, so the call returns immediately): the

@@ -1,5 +1,5 @@
-// CNF inprocessing: the classic simplification passes applied between (or
-// before) incremental solve calls, with a model-reconstruction stack.
+// CNF inprocessing: the classic simplification passes applied before the
+// solve call, with a model-reconstruction stack.
 //
 // The e_ij encodings of the Burch–Dill correctness formulas are large and
 // highly redundant (Bryant–German–Velev): Tseitin definitions that collapse
@@ -22,11 +22,9 @@
 // literal substitution). Reconstructor::extend() turns any model of the
 // simplified CNF into a model of the original CNF over ALL original
 // variables — counterexample decoding (fuzz/decode.cpp) reads primary
-// inputs from the model, so the extension is not optional. Frozen
-// variables (assumption literals, activation selectors) are never
-// eliminated or substituted, which keeps assumption-conditional
-// equisatisfiability: for every assignment of the frozen variables, the
-// simplified and original CNFs agree on satisfiability.
+// inputs from the model, so the extension is not optional. No variable is
+// exempt, so the simplified CNF is equisatisfiable with the original as a
+// whole, not under assumptions: solve it without any.
 //
 // PROOF CONTRACT. With a Proof attached, every added clause is RUP with
 // respect to the checker database at that point (resolvents, strengthened
@@ -38,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "prop/cnf.hpp"
@@ -117,15 +114,13 @@ struct SimplifyResult {
   bool provedUnsat = false;  // simplification alone refuted the formula
 };
 
-/// Run the inprocessing pipeline on `in`. Frozen variables (DIMACS, 1-based)
-/// are exempt from elimination and substitution. With a `budget`, the
+/// Run the inprocessing pipeline on `in`. With a `budget`, the
 /// passes poll the governor and stop early (leaving a consistent, partially
 /// simplified CNF) when a budget trips — never a throw. Emits DRAT steps
 /// into `proof` when given. Deterministic for fixed inputs and options.
 SimplifyResult inprocess(const prop::Cnf& in, const InprocessOptions& opts,
                          Proof* proof = nullptr,
-                         BudgetGovernor* budget = nullptr,
-                         std::span<const std::uint32_t> frozen = {});
+                         BudgetGovernor* budget = nullptr);
 
 /// solveCnf with the inprocessing front end: simplify, solve the simplified
 /// CNF, and extend a Sat model back onto the original variables. Proof
@@ -137,7 +132,6 @@ Result solveCnfInprocessed(const prop::Cnf& cnf, const InprocessOptions& iopts,
                            std::int64_t conflictBudget = -1,
                            Proof* proof = nullptr,
                            BudgetGovernor* budget = nullptr,
-                           InprocessStats* istats = nullptr,
-                           std::span<const std::uint32_t> frozen = {});
+                           InprocessStats* istats = nullptr);
 
 }  // namespace velev::sat

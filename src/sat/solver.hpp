@@ -87,25 +87,6 @@ class Solver {
   /// After Result::Sat: value of a DIMACS variable (1-based).
   bool modelValue(std::uint32_t dimacsVar) const;
 
-  /// Frozen-variable bookkeeping for the inprocessing passes: a frozen
-  /// variable has external meaning (assumption literal, activation
-  /// selector, a variable the caller will read from the model of a later
-  /// call) and must never be eliminated or substituted away. The solver
-  /// itself only records the set; sat::inprocess() consumes it.
-  void freeze(std::uint32_t dimacsVar);
-  bool isFrozen(std::uint32_t dimacsVar) const;
-  std::vector<std::uint32_t> frozenVars() const;
-
-  std::size_t numLearnts() const { return learntRefs_.size(); }
-  std::size_t numProblemClauses() const { return problemRefs_.size(); }
-
-  /// Remove every clause satisfied by the level-0 assignment from the
-  /// database and the watch lists — how an incremental session reclaims a
-  /// retired call's clauses (the permanent ¬s_i unit satisfies them). The
-  /// arena is not compacted; what matters is that propagation stops
-  /// visiting the dead clauses. Emits proof deletions for the removals.
-  void purgeSatisfiedAtLevelZero();
-
   /// Attach a DRAT proof log (must outlive the solver; set before adding
   /// clauses). On an Unsat result the proof ends with the empty clause and
   /// can be certified with checkRup().
@@ -128,7 +109,7 @@ class Solver {
   /// bookkeeping + watcher lists). O(1) approximation.
   std::size_t memoryBytes() const {
     return arena_.capacity() * sizeof(std::uint32_t) +
-           (learntRefs_.capacity() + problemRefs_.capacity()) * sizeof(CRef) +
+           learntRefs_.capacity() * sizeof(CRef) +
            nVars_ * (sizeof(LBool) + sizeof(std::int8_t) +
                      sizeof(std::uint32_t) + sizeof(CRef) + sizeof(double) +
                      2 * sizeof(std::vector<Watcher>));
@@ -207,7 +188,6 @@ class Solver {
   std::size_t nVars_ = 0;
   std::vector<std::uint32_t> arena_;
   std::vector<CRef> learntRefs_;
-  std::vector<CRef> problemRefs_;
 
   std::vector<LBool> assigns_;
   std::vector<std::int8_t> polarity_;  // phase saving (1 = last was negative)
@@ -230,7 +210,6 @@ class Solver {
 
   std::vector<Lit> assumptions_;  // of the solve() call in flight
   prop::Clause failed_;           // last failed-assumption clause (DIMACS)
-  std::vector<char> frozen_;      // per-variable freeze marks
 
   bool okay_ = true;
   std::int64_t conflictsUntilReduce_ = 0;

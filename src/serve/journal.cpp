@@ -7,6 +7,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "support/atomic_file.hpp"
 #include "support/json.hpp"
 #include "support/trace.hpp"
 
@@ -136,10 +137,7 @@ bool CacheJournal::writeSegmentLocked(
         entries) {
   const fs::path final =
       fs::path(opts_.dir) / ("seg-" + std::to_string(nextSegment_) + ".json");
-  const fs::path tmp = final.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
+  const bool written = replaceFileAtomically(final, [&](std::ostream& out) {
     JsonWriter w(out);
     w.beginObject();
     w.kv("version", kJournalSchemaVersion);
@@ -155,14 +153,8 @@ bool CacheJournal::writeSegmentLocked(
     }
     w.endArray();
     w.endObject();
-    if (!out) return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, final, ec);  // atomic on POSIX: readers see all or nothing
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
+  });
+  if (!written) return false;
   ++nextSegment_;
   ++segmentsOnDisk_;
   return true;

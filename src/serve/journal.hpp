@@ -1,11 +1,12 @@
 // Append-only on-disk journal of the velev_serve ResultCache.
 //
 // Purpose: a daemon restart keeps its warm set. Every cacheable fulfill is
-// appended as an immutable SEGMENT file (written to a .tmp sibling and
-// atomically renamed, the grid checkpoint's discipline), and startup
-// replays every readable segment into ResultCache::seed(). The unit of
-// durability is the segment: a corrupt or truncated segment — a daemon
-// killed mid-write never leaves one, but a torn disk might — is skipped
+// appended as an immutable SEGMENT file (support/atomic_file.hpp, shared
+// with the grid checkpoint: a .tmp sibling renamed into place only once the
+// whole write succeeded), and startup replays every readable segment into
+// ResultCache::seed(). The unit of durability is the segment: a corrupt or
+// truncated segment — a daemon killed mid-write or a failed write never
+// leaves one, but a torn disk might — is skipped
 // wholesale and its entries simply degrade to cold cache misses. Nothing
 // ever fails loudly on load; the journal is an optimization, not a store
 // of record.

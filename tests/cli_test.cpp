@@ -79,6 +79,8 @@ TEST(Cli, UsageErrorExitsTwo) {
   EXPECT_EQ(runCli("--jobs 0").exitCode, 2);
   // A single run is one cell: intra-cell parallelism is --cell-jobs.
   EXPECT_EQ(runCli("--size 4 --width 2 --jobs 2").exitCode, 2);
+  // The shared-session grid mode is gone: old scripts must fail loudly.
+  EXPECT_EQ(runCli("--grid 2x1,3x1 --incremental").exitCode, 2);
 }
 
 TEST(Cli, SingleModeMatchesLibrary) {

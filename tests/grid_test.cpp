@@ -1,16 +1,19 @@
 // Tests for the parallel grid runner: parallel runs must be
-// observationally identical to sequential runs (same verdicts, same CNF
-// statistics, input order preserved), cancellation must stop queued cells,
-// and makeGrid/makeGridRequests must drop impossible configurations.
+// observationally identical to sequential runs (same verdicts, same
+// counters, input order preserved), cancellation must stop queued cells,
+// checkpoints must survive resume and failed saves, and
+// makeGrid/makeGridRequests must drop impossible configurations.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/grid_runner.hpp"
+#include "file_size_limit.hpp"
 
 namespace velev::core {
 namespace {
@@ -60,9 +63,19 @@ TEST(Grid, MakeGridRequestsStampsBaseOntoEveryCell) {
 }
 
 TEST(Grid, ParallelVerdictsIdenticalToSequential) {
-  const std::vector<unsigned> sizes = {2, 3, 4};
-  const std::vector<unsigned> widths = {1, 2};
-  const auto cells = makeGridRequests(sizes, widths);
+  // Every cell solves on its own fresh solver, so the worker count — across
+  // cells (jobs) or inside one cell (cellJobs) — must change nothing but
+  // wall time: same verdicts and the same full counter block per cell.
+  std::vector<VerifyRequest> cells = makeGridRequests(
+      std::vector<unsigned>{2, 3, 4}, std::vector<unsigned>{1, 2});
+  // PE-only cells: the e_ij + transitivity encoding, mostly CDCL.
+  for (const auto& [n, k] : {std::pair{3u, 1u}, {3u, 2u}, {4u, 2u}}) {
+    VerifyRequest pe;
+    pe.robSize = n;
+    pe.issueWidth = k;
+    pe.strategy = Strategy::PositiveEqualityOnly;
+    cells.push_back(pe);
+  }
 
   GridRunOptions seq;
   seq.jobs = 1;
@@ -70,24 +83,27 @@ TEST(Grid, ParallelVerdictsIdenticalToSequential) {
 
   GridRunOptions par;
   par.jobs = 3;
-  const auto parallel = runGrid(cells, par);
-
+  GridRunOptions intra;
+  intra.cellJobs = 2;
   ASSERT_EQ(sequential.size(), cells.size());
-  ASSERT_EQ(parallel.size(), cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    // Input order preserved on both paths.
-    EXPECT_EQ(sequential[i].cell.robSize, cells[i].robSize);
-    EXPECT_EQ(parallel[i].cell.robSize, cells[i].robSize);
-    EXPECT_EQ(parallel[i].cell.issueWidth, cells[i].issueWidth);
-    // Identical verdicts and identical translated formulas.
-    EXPECT_EQ(sequential[i].report.verdict(), Verdict::Correct);
-    EXPECT_EQ(parallel[i].report.verdict(), sequential[i].report.verdict());
-    EXPECT_EQ(parallel[i].report.evcStats.cnfVars,
-              sequential[i].report.evcStats.cnfVars);
-    EXPECT_EQ(parallel[i].report.evcStats.cnfClauses,
-              sequential[i].report.evcStats.cnfClauses);
-    EXPECT_FALSE(parallel[i].skipped);
-    EXPECT_GT(parallel[i].memHighWaterKb, 0u);
+  for (const GridRunOptions& opts : {par, intra}) {
+    const auto other = runGrid(cells, opts);
+    ASSERT_EQ(other.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << "jobs " << opts.jobs << " cellJobs " << opts.cellJobs
+                   << " cell " << i);
+      // Input order preserved on both paths.
+      EXPECT_EQ(sequential[i].cell.robSize, cells[i].robSize);
+      EXPECT_EQ(other[i].cell.robSize, cells[i].robSize);
+      EXPECT_EQ(other[i].cell.issueWidth, cells[i].issueWidth);
+      EXPECT_EQ(sequential[i].report.verdict(), Verdict::Correct);
+      EXPECT_EQ(other[i].report.verdict(), sequential[i].report.verdict());
+      EXPECT_EQ(reportCounters(other[i].report),
+                reportCounters(sequential[i].report));
+      EXPECT_FALSE(other[i].skipped);
+      EXPECT_GT(other[i].memHighWaterKb, 0u);
+    }
   }
 }
 
@@ -144,52 +160,6 @@ TEST(Grid, CancelledBeforeRunSkipsEveryCell) {
       EXPECT_FALSE(results[i].report.outcome.reason.empty());
     }
   }
-}
-
-TEST(Grid, IncrementalSessionVerdictsIdenticalToFreshRuns) {
-  // One shared incremental SAT session across the cells (sequential by
-  // construction) must judge every cell exactly like fresh per-cell
-  // solvers — same verdicts, same translated formulas — while actually
-  // reusing the session (inprocessing stats recorded per cell).
-  const auto cells = makeGridRequests(std::vector<unsigned>{2, 3, 4},
-                                      std::vector<unsigned>{1, 2});
-
-  GridRunOptions fresh;
-  const auto baseline = runGrid(cells, fresh);
-
-  GridRunOptions inc;
-  inc.incremental = true;
-  const auto shared = runGrid(cells, inc);
-
-  ASSERT_EQ(shared.size(), baseline.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(shared[i].cell.robSize, cells[i].robSize);
-    EXPECT_EQ(shared[i].report.verdict(), baseline[i].report.verdict());
-    EXPECT_EQ(shared[i].report.verdict(), Verdict::Correct);
-    EXPECT_EQ(shared[i].report.evcStats.cnfVars,
-              baseline[i].report.evcStats.cnfVars);
-    EXPECT_EQ(shared[i].report.evcStats.cnfClauses,
-              baseline[i].report.evcStats.cnfClauses);
-    EXPECT_TRUE(shared[i].report.inprocessed);
-    EXPECT_GT(shared[i].report.inprocessStats.clausesBefore, 0u);
-  }
-}
-
-TEST(Grid, IncrementalSessionCatchesInjectedBug) {
-  // A buggy cell in the middle of a shared-session sweep must still be
-  // flagged, and the later correct cell must not be contaminated by it.
-  std::vector<VerifyRequest> cells =
-      makeGridRequests(std::vector<unsigned>{4}, std::vector<unsigned>{2});
-  cells.push_back(cells[0]);
-  cells.push_back(cells[0]);
-  cells[1].bug.kind = models::BugKind::ForwardingWrongOperand;
-  cells[1].bug.index = 2;
-  GridRunOptions opts;
-  opts.incremental = true;
-  const auto results = runGrid(cells, opts);
-  EXPECT_EQ(results[0].report.verdict(), Verdict::Correct);
-  EXPECT_EQ(results[1].report.verdict(), Verdict::RewriteMismatch);
-  EXPECT_EQ(results[2].report.verdict(), Verdict::Correct);
 }
 
 TEST(Grid, CheckpointResumeRestoresEveryFinishedCell) {
@@ -373,6 +343,38 @@ TEST(Grid, CorruptCheckpointDegradesToFullRun) {
     EXPECT_EQ(results[0].report.verdict(), Verdict::Correct);
     std::filesystem::remove(path);
   }
+}
+
+TEST(Grid, FailedCheckpointSaveKeepsPreviousFile) {
+  // A save that fails part-way (here: a file-size limit, as on a full
+  // disk) must leave the previous complete checkpoint in place, not rename
+  // a torn file over it.
+  const auto cells = makeGridRequests(std::vector<unsigned>{2, 3},
+                                      std::vector<unsigned>{1});
+  const std::string path = checkpointPath("failed_save");
+  GridRunOptions opts;
+  opts.checkpointPath = path;
+  runGrid(cells, opts);
+  const auto goodSize = std::filesystem::file_size(path);
+
+  // One more cell on top of the two recorded ones: the rewrite grows past
+  // the limit, so it cannot complete.
+  std::vector<VerifyRequest> more = cells;
+  more.push_back(makeGridRequests(std::vector<unsigned>{4},
+                                  std::vector<unsigned>{1})[0]);
+  opts.resume = true;  // jobs 1, cellJobs 1: the forked child stays
+                       // single-threaded
+  ASSERT_TRUE(test::runWithFileSizeLimit(goodSize / 2,
+                                         [&] { runGrid(more, opts); }));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  const auto resumed = runGrid(cells, opts);
+  ASSERT_EQ(resumed.size(), cells.size());
+  for (std::size_t i = 0; i < resumed.size(); ++i) {
+    EXPECT_TRUE(resumed[i].restored) << "cell " << i;
+    EXPECT_EQ(resumed[i].report.verdict(), Verdict::Correct);
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(Grid, ResumeWithMissingCheckpointIsFreshRun) {

@@ -1,10 +1,9 @@
-// Tests for the CNF inprocessing pipeline (src/sat/simplify) and the
-// incremental session built on it: every pass — individually and composed
-// — must preserve satisfiability (cross-checked against the untouched
-// solver, brute force, and the BDD engine), Sat models of the simplified
-// CNF must reconstruct to models of the ORIGINAL CNF, frozen variables
-// must keep assumption-conditional equisatisfiability, and the checked-in
-// fuzz corpus must decode identically with the front end on and off.
+// Tests for the CNF inprocessing pipeline (src/sat/simplify): every pass —
+// individually and composed — must preserve satisfiability (cross-checked
+// against the untouched solver, brute force, and the BDD engine), Sat
+// models of the simplified CNF must reconstruct to models of the ORIGINAL
+// CNF, and the checked-in fuzz corpus must decode identically with the
+// front end on and off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -226,37 +225,6 @@ TEST(Inprocess, PipelineActuallySimplifies) {
   EXPECT_GT(total.varsEliminated, 0u);
   EXPECT_GT(total.varsSubstituted, 0u);
   EXPECT_GT(total.reconstructionDepth, 0u);
-}
-
-// ---- frozen variables: assumption-conditional equisatisfiability ------------
-
-TEST(Inprocess, FrozenVariablesKeepConditionalEquisat) {
-  Rng rng(5150);
-  for (int iter = 0; iter < 60; ++iter) {
-    const Cnf cnf = randomCnf(rng, /*maxVars=*/10, /*maxClauses=*/40);
-    // Freeze two variables and compare original vs simplified under every
-    // assignment of the frozen pair, forced in as unit clauses.
-    const std::uint32_t f1 = 1 + rng.below(cnf.numVars);
-    std::uint32_t f2 = 1 + rng.below(cnf.numVars);
-    if (f2 == f1) f2 = (f1 % cnf.numVars) + 1;
-    const std::uint32_t frozen[] = {f1, f2};
-    const SimplifyResult sr = inprocess(cnf, {}, nullptr, nullptr, frozen);
-    for (int bits = 0; bits < 4; ++bits) {
-      Cnf a = cnf;
-      Cnf b = sr.cnf;
-      const CnfLit u1 = (bits & 1) != 0 ? static_cast<CnfLit>(f1)
-                                        : -static_cast<CnfLit>(f1);
-      const CnfLit u2 = (bits & 2) != 0 ? static_cast<CnfLit>(f2)
-                                        : -static_cast<CnfLit>(f2);
-      a.addClause({u1});
-      a.addClause({u2});
-      b.addClause({u1});
-      b.addClause({u2});
-      const Result ra = solveCnf(a);
-      const Result rb = sr.provedUnsat ? Result::Unsat : solveCnf(b);
-      EXPECT_EQ(ra, rb) << "iter " << iter << " bits " << bits;
-    }
-  }
 }
 
 // ---- reconstruction stack: crafted chains -----------------------------------

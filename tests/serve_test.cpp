@@ -12,6 +12,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -23,7 +24,8 @@
 #include <vector>
 
 #include "core/request.hpp"
-#include "sat/incremental.hpp"
+#include "file_size_limit.hpp"
+#include "sat/memo.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
 #include "serve/journal.hpp"
@@ -621,8 +623,8 @@ TEST(ServeMemo, VerifyWithMemoMatchesFreshVerify) {
   const core::VerifyReport plain = core::verify(req);
 
   sat::SolveMemo memo;
-  const core::VerifyReport first = core::verify(req, nullptr, &memo);
-  const core::VerifyReport second = core::verify(req, nullptr, &memo);
+  const core::VerifyReport first = core::verify(req, &memo);
+  const core::VerifyReport second = core::verify(req, &memo);
   EXPECT_GE(memo.hits(), 1u);
 
   EXPECT_EQ(first.verdict(), plain.verdict());
@@ -740,6 +742,40 @@ TEST(ServeJournal, CompactionFoldsSegments) {
   for (const auto& [key, resp] : entries)
     EXPECT_EQ(resp.counters,
               cacheableResponse(key, key * 10).counters);
+}
+
+TEST(ServeJournal, FailedCompactionKeepsSegments) {
+  // A compaction fold that fails part-way (a file-size limit, as on a full
+  // disk) must not be renamed into place, and the segments it would have
+  // replaced must stay: a restart still restores every entry.
+  serve::CacheJournal::Options jo;
+  jo.dir = freshDir("journal_failed_fold");
+  jo.compactThreshold = 4;
+  {
+    serve::CacheJournal j(jo);
+    for (std::uint64_t key = 1; key <= 4; ++key)
+      j.append(key, cacheableResponse(key, key * 10));
+    ASSERT_EQ(j.segmentCount(), 4u);
+  }
+  std::uintmax_t segSize = 0;
+  for (const auto& e : std::filesystem::directory_iterator(jo.dir))
+    segSize = std::max(segSize, e.file_size());
+
+  // The fifth append fits on its own, then crosses the threshold; the fold
+  // of all five entries does not fit.
+  ASSERT_TRUE(test::runWithFileSizeLimit(2 * segSize, [&] {
+    serve::CacheJournal j(jo);
+    j.load();
+    j.append(5, cacheableResponse(5, 50));
+  }));
+
+  serve::CacheJournal j2(jo);
+  serve::CacheJournal::LoadStats ls;
+  const auto entries = j2.load(&ls);
+  EXPECT_EQ(ls.skippedSegments, 0u);
+  ASSERT_EQ(entries.size(), 5u);
+  for (const auto& [key, resp] : entries)
+    EXPECT_EQ(resp.counters, cacheableResponse(key, key * 10).counters);
 }
 
 TEST(ServeJournal, SeedPopulatesCacheWithoutTouchingTraffic) {

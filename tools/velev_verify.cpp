@@ -57,10 +57,6 @@
 //                     equivalent-literal substitution) — the
 //                     pre-simplification baseline, used by the benches'
 //                     before/after comparison
-//   --incremental     grid mode only: solve the cells through one shared
-//                     incremental SAT session (activation selectors;
-//                     VSIDS activity, phases and learnt clauses carry
-//                     across cells). Forces sequential cell execution
 //   --no-coi          disable the cone-of-influence simulator optimization
 //   --dump-cnf FILE   write the correctness CNF in DIMACS format
 //   --proof FILE      log a DRAT proof and self-check it on UNSAT
@@ -73,7 +69,7 @@
 //                     the local run; answers served from the daemon's
 //                     result cache print a [cached] marker. Local-run
 //                     features (--dump-cnf, --proof, --trace, --stats,
-//                     --incremental, --fallback) do not apply
+//                     --fallback, --checkpoint, --cell-jobs) do not apply
 //   --trace DIR       write observability artifacts into DIR (created if
 //                     missing): a Chrome-trace/Perfetto event stream
 //                     (trace.json) and a versioned run manifest
@@ -485,7 +481,7 @@ int runSingleMode(const core::VerifyRequest& req, unsigned cellJobs,
 int main(int argc, char** argv) {
   unsigned size = 8, width = 2, jobs = 1, cellJobs = 1;
   bool peOnly = false, quiet = false, coi = true;
-  bool noInprocess = false, incremental = false, resume = false;
+  bool noInprocess = false, resume = false;
   const char* checkpointPath = nullptr;
   core::Engine engine = core::Engine::Sat;
   ResourceBudget budget;
@@ -547,7 +543,6 @@ int main(int argc, char** argv) {
       else if (s == "none") fallback = core::FallbackPolicy::None;
       else usage(("unknown fallback policy: " + s).c_str());
     } else if (a == "--no-inprocess") noInprocess = true;
-    else if (a == "--incremental") incremental = true;
     else if (a == "--no-coi") coi = false;
     else if (a == "--dump-cnf") dumpCnf = next();
     else if (a == "--proof") proofPath = next();
@@ -562,9 +557,6 @@ int main(int argc, char** argv) {
   if (proofPath && engine != core::Engine::Sat)
     usage("--proof requires --engine sat (DRAT proofs come from the CDCL "
           "solver)");
-  if (incremental && !gridSpec)
-    usage("--incremental applies to grid mode only (a single run has no "
-          "cells to share the session across)");
   if (checkpointPath && !gridSpec)
     usage("--checkpoint applies to grid mode only (a single run has no "
           "cells to record)");
@@ -588,12 +580,11 @@ int main(int argc, char** argv) {
 
   try {
   if (connectEndpoint) {
-    if (dumpCnf || proofPath || traceDir || stats || incremental ||
-        checkpointPath || cellJobs > 1 ||
-        fallback != core::FallbackPolicy::None)
+    if (dumpCnf || proofPath || traceDir || stats || checkpointPath ||
+        cellJobs > 1 || fallback != core::FallbackPolicy::None)
       usage("--connect ships requests to a velev_serve daemon; "
-            "--dump-cnf/--proof/--trace/--stats/--incremental/--fallback/"
-            "--checkpoint/--cell-jobs are local-run features");
+            "--dump-cnf/--proof/--trace/--stats/--fallback/--checkpoint/"
+            "--cell-jobs are local-run features");
     std::vector<core::VerifyRequest> requests;
     if (gridSpec) {
       for (const core::GridCell& c : parseGridSpec(gridSpec)) {
@@ -616,7 +607,6 @@ int main(int argc, char** argv) {
     core::GridRunOptions gopts;
     gopts.jobs = jobs;
     gopts.cellJobs = cellJobs;
-    gopts.incremental = incremental;
     gopts.fallback = fallback;
     if (traceDir) gopts.traceDir = traceDir;
     if (checkpointPath) gopts.checkpointPath = checkpointPath;
