@@ -1,10 +1,10 @@
 // ShadowContext — a read-through hash-consing overlay on a frozen Context.
 //
 // The rewrite slice checks (Sect. 6) intern scratch expressions — the
-// merged retire/completion ITEs, the case-split substitution results, the
-// candidate forwarding hits — that the final rebuild never reuses. A
-// ShadowContext gives each slice (and, when the slice loop is parallelized,
-// each worker) a private arena for that scratch:
+// merged retire/completion ITEs and the case-split substitution results —
+// that the final rebuild never reuses. A ShadowContext gives each slice
+// (and, when the slice loop is parallelized, each worker) a private arena
+// for that scratch:
 //
 //   * every id below `base().numNodes()` denotes the base context's node,
 //     read through const accessors only (the base must not be mutated while

@@ -74,6 +74,10 @@ class Engine {
         checkMovability();
       }
       {
+        TRACE_SPAN("rewrite.levels");
+        checkSpecLevels();
+      }
+      {
         TRACE_SPAN("rewrite.slices");
         runSlices();
       }
@@ -193,14 +197,41 @@ class Engine {
     }
   }
 
+  // ---- per-level fact -------------------------------------------------------
+  // Rule 2.1 needs, at every level j a forwarding chain passes, that the
+  // specification write at level j collapses to Result_j under
+  // ValidResult_j. The answer depends on j alone, not on the slice whose
+  // chain reaches j, so it is settled once per level here — N substitutions
+  // instead of about N²/2 — in a throwaway shadow, so nothing is interned
+  // into the main context.
+  void checkSpecLevels() {
+    BudgetGovernor* gov = cx_.budgetGovernor();
+    const int slot = gov != nullptr ? gov->registerSource() : -1;
+    specCollapses_.assign(n_, 0);
+    {
+      eufm::ShadowContext scx(cx_, gov, slot);
+      for (unsigned j = 0; j < n_; ++j) {
+        // The structural hit match below relies on these being distinct
+        // Boolean variables (no constructor fold can apply to them).
+        VELEV_CHECK(cx_.kind(init_.valid[j]) == Kind::BoolVar &&
+                    cx_.kind(init_.validResult[j]) == Kind::BoolVar &&
+                    init_.valid[j] != init_.validResult[j]);
+        const BoolAssumptions vr1{{init_.validResult[j], true}};
+        specCollapses_[j] =
+            substituteShallow(scx, specUpd(j).data, vr1) == init_.result[j];
+      }
+    }
+    if (gov != nullptr) gov->checkpoint(slot, 0);
+  }
+
   // ---- slice scheduling -------------------------------------------------------
   // Every slice check runs inside a private ShadowContext overlay on the
   // (frozen) main context: the scratch expressions a check interns — merged
-  // ITEs, case-split substitutions, candidate forwarding hits — are never
-  // reused by the rebuild, so they are hash-consed locally and discarded
-  // with the slice. That makes the checks embarrassingly parallel (the main
-  // context is only ever read) and keeps the main arena from growing by
-  // O(slices × slice-size) scratch.
+  // ITEs, case-split substitutions — are never reused by the rebuild, so
+  // they are hash-consed locally and discarded with the slice. That makes
+  // the checks embarrassingly parallel (the main context is only ever read)
+  // and keeps the main arena from growing by O(slices × slice-size)
+  // scratch.
   //
   // Determinism: each slice starts from an identical frozen base and runs
   // an identical builder-call sequence, so its outcome, tally, and local
@@ -398,38 +429,65 @@ class Engine {
   //   fwd = ITE(hit_j, Result_j, rest),    hit_j = Valid_j & (Dest_j = src)
   //   ok  = ITE(hit_j, ValidResult_j, okRest)   (or the folded Or-form when
   //                                              okRest is TRUE)
-  // and the specification data written at level j must collapse to Result_j
-  // under ValidResult_j — which `ok` guarantees exactly when the forwarding
-  // selects level j. `ok == kNoExpr` requires the chain to be hit-free.
+  // and the specification write at level j must collapse to Result_j under
+  // ValidResult_j (specCollapses_) — which `ok` guarantees exactly when the
+  // forwarding selects level j. `ok == kNoExpr` requires the chain to be
+  // hit-free. Everything is matched by node structure; nothing is interned.
   template <typename Cx>
-  bool matchForwarding(Cx& cx, unsigned i, Expr fwd, Expr ok,
+  bool matchForwarding(const Cx& cx, unsigned i, Expr fwd, Expr ok,
                        Expr src) const {
     for (unsigned level = i; level-- > 0;) {
-      const Expr hit =
-          cx.mkAnd(init_.valid[level], cx.mkEq(init_.dest[level], src));
-      if (cx.kind(fwd) != Kind::IteT || cx.arg(fwd, 0) != hit ||
+      if (cx.kind(fwd) != Kind::IteT ||
+          !isHit(cx, cx.arg(fwd, 0), level, src) ||
           cx.arg(fwd, 1) != init_.result[level])
         return false;
       fwd = cx.arg(fwd, 2);
       // Peel the availability chain.
       if (ok == kNoExpr) return false;
-      if (cx.kind(ok) == Kind::IteF && cx.arg(ok, 0) == hit &&
+      if (cx.kind(ok) == Kind::IteF &&
+          isHit(cx, cx.arg(ok, 0), level, src) &&
           cx.arg(ok, 1) == init_.validResult[level]) {
         ok = cx.arg(ok, 2);
-      } else if (ok == cx.mkOr(cx.mkNot(hit), init_.validResult[level])) {
+      } else if (isFoldedAvailability(cx, ok, level, src)) {
         ok = cx.mkTrue();  // folded innermost level: ITE(hit, VR, true)
       } else {
         return false;
       }
-      // The specification write at this level must provide Result_level
-      // when its result was available.
-      BoolAssumptions vr1{{init_.validResult[level], true}};
-      if (substituteShallow(cx, specUpd(level).data, vr1) !=
-          init_.result[level])
-        return false;
+      if (!specCollapses_[level]) return false;
     }
-    return fwd == cx.mkRead(init_.regFile, src) &&
-           (ok == kNoExpr || ok == cx.mkTrue());
+    return cx.kind(fwd) == Kind::Read && cx.arg(fwd, 0) == init_.regFile &&
+           cx.arg(fwd, 1) == src && (ok == kNoExpr || ok == cx.mkTrue());
+  }
+
+  // Is `c` the node mkAnd(Valid_j, mkEq(Dest_j, src)) would return? Hash-
+  // consing is canonical (a shadow resolves to the base node first), so it
+  // is exactly when `c` has that shape: an And of Valid_j with an Eq over
+  // {Dest_j, src}, or Valid_j alone when Dest_j is src (mkEq folds to
+  // true). Valid_j is a Boolean variable, so no other fold applies.
+  template <typename Cx>
+  bool isHit(const Cx& cx, Expr c, unsigned level, Expr src) const {
+    const Expr valid = init_.valid[level], dest = init_.dest[level];
+    if (dest == src) return c == valid;
+    if (cx.kind(c) != Kind::And) return false;
+    Expr a = cx.arg(c, 0), b = cx.arg(c, 1);
+    if (b == valid) std::swap(a, b);
+    if (a != valid || cx.kind(b) != Kind::Eq) return false;
+    const Expr l = cx.arg(b, 0), r = cx.arg(b, 1);
+    return (l == dest && r == src) || (l == src && r == dest);
+  }
+
+  // Is `ok` the node mkOr(mkNot(hit_j), ValidResult_j) would return? hit_j
+  // is an And or Valid_j and ValidResult_j a different Boolean variable, so
+  // neither constructor folds: it is an Or of ValidResult_j with Not(hit_j).
+  template <typename Cx>
+  bool isFoldedAvailability(const Cx& cx, Expr ok, unsigned level,
+                            Expr src) const {
+    if (cx.kind(ok) != Kind::Or) return false;
+    const Expr vr = init_.validResult[level];
+    Expr neg = cx.arg(ok, 0), other = cx.arg(ok, 1);
+    if (neg == vr) std::swap(neg, other);
+    return other == vr && cx.kind(neg) == Kind::Not &&
+           isHit(cx, cx.arg(neg, 0), level, src);
   }
 
   // ---- removal and reconstruction (Fig. 2.b) ----------------------------------
@@ -472,6 +530,7 @@ class Engine {
   UpdateChain spec0_;
   std::vector<Update> specSteps_;
   std::vector<Expr> retireCond_;  // retire_i, split out of the contexts
+  std::vector<char> specCollapses_;  // per level: see checkSpecLevels()
   RewriteStats stats_;
 };
 

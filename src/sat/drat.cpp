@@ -108,19 +108,6 @@ bool checkRup(const prop::Cnf& cnf, const Proof& proof) {
   return true;
 }
 
-bool checkRupUnderAssumptions(const prop::Cnf& cnf,
-                              std::span<const prop::CnfLit> assumptions,
-                              const Proof& proof) {
-  prop::Cnf extended = cnf;
-  for (const prop::CnfLit a : assumptions) extended.addClause({a});
-  Proof closed = proof;
-  // An assumption-caused Unsat ends the proof with the failed-assumption
-  // clause (over negated assumptions): with the assumption units present it
-  // propagates straight to a conflict, so the empty clause is RUP here.
-  if (!closed.endsWithEmptyClause()) closed.add({});
-  return checkRup(extended, closed);
-}
-
 void writeDrat(const Proof& proof, std::ostream& os) {
   for (const ProofStep& step : proof.steps) {
     if (step.isDelete) os << "d ";

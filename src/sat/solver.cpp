@@ -392,17 +392,8 @@ bool Solver::pollBudget() noexcept {
 }
 
 Result Solver::solve(std::int64_t conflictBudget) {
-  return solve(std::span<const prop::CnfLit>(), conflictBudget);
-}
-
-Result Solver::solve(std::span<const prop::CnfLit> assumptions,
-                     std::int64_t conflictBudget) {
   if (!okay_) return Result::Unsat;
-  backtrack(0);  // start of an incremental call: drop the previous model
-  failed_.clear();
-  assumptions_.clear();
-  assumptions_.reserve(assumptions.size());
-  for (prop::CnfLit dl : assumptions) assumptions_.push_back(fromDimacs(dl));
+  backtrack(0);  // a repeated call: drop the previous model
   std::int64_t restartNum = 0;
   std::int64_t conflictsLeftInRestart = luby(restartNum) * opts_.lubyUnit;
   std::vector<Lit> learnt;
@@ -413,8 +404,8 @@ Result Solver::solve(std::span<const prop::CnfLit> assumptions,
     if (conflict != kCRefUndef) {
       ++stats_.conflicts;
       if (decisionLevel() == 0) {
-        // A level-0 conflict refutes the clause database itself, not the
-        // assumptions: the solver is permanently Unsat.
+        // A level-0 conflict refutes the clause database: the solver is
+        // permanently Unsat.
         if (proof_) proof_->add({});
         okay_ = false;
         return Result::Unsat;
@@ -444,73 +435,20 @@ Result Solver::solve(std::span<const prop::CnfLit> assumptions,
       }
       continue;
     }
-    if (conflictsLeftInRestart <= 0 &&
-        decisionLevel() > assumptions_.size()) {
+    if (conflictsLeftInRestart <= 0 && decisionLevel() > 0) {
       ++stats_.restarts;
-      backtrack(0);  // the loop below re-establishes the assumptions
+      backtrack(0);
       ++restartNum;
       conflictsLeftInRestart = luby(restartNum) * opts_.lubyUnit;
       continue;
     }
-    // Establish the next pending assumption (one pseudo-decision level per
-    // assumption, dummy level if it is already implied), then fall back to
-    // the VSIDS decision heuristic.
-    Lit next = kLitUndef;
-    while (decisionLevel() < assumptions_.size()) {
-      const Lit p = assumptions_[decisionLevel()];
-      const LBool v = valueLit(p);
-      if (v == LBool::True) {
-        trailLim_.push_back(static_cast<std::uint32_t>(trail_.size()));
-      } else if (v == LBool::False) {
-        // The database (plus earlier assumptions) refutes this assumption.
-        analyzeFinal(negLit(p));
-        if (proof_) proof_->add(failed_);
-        return Result::Unsat;  // okay_ stays true: only assumptions failed
-      } else {
-        next = p;
-        break;
-      }
-    }
-    if (next == kLitUndef) {
-      next = pickBranchLit();
-      if (next == kLitUndef) return Result::Sat;  // complete assignment
-    }
+    const Lit next = pickBranchLit();
+    if (next == kLitUndef) return Result::Sat;  // complete assignment
     ++stats_.decisions;
     trailLim_.push_back(static_cast<std::uint32_t>(trail_.size()));
     const bool ok = enqueue(next, kCRefUndef);
     VELEV_CHECK(ok);
   }
-}
-
-void Solver::analyzeFinal(Lit p) {
-  // `p` is true on the trail and its negation is the assumption that just
-  // failed: collect the subset of assumptions whose conjunction the clause
-  // database refutes, as a clause of negated assumption literals. The
-  // clause is derived by resolving the reasons along the trail, so it is
-  // RUP with respect to the database plus the assumption units.
-  const auto dimacsLit = [this](Lit l) {
-    const prop::CnfLit v = static_cast<prop::CnfLit>(varOf(l)) + 1;
-    return signOf(l) ? -v : v;
-  };
-  failed_.clear();
-  failed_.push_back(dimacsLit(p));
-  if (decisionLevel() == 0) return;
-  seen_[varOf(p)] = 1;
-  for (std::size_t i = trail_.size(); i > trailLim_[0]; --i) {
-    const Var x = varOf(trail_[i - 1]);
-    if (!seen_[x]) continue;
-    if (reason_[x] == kCRefUndef) {
-      VELEV_CHECK(levelOf(x) > 0);
-      failed_.push_back(dimacsLit(negLit(trail_[i - 1])));
-    } else {
-      const Lit* ls = clauseLits(reason_[x]);
-      const std::uint32_t size = clauseSize(reason_[x]);
-      for (std::uint32_t k = 1; k < size; ++k)
-        if (levelOf(varOf(ls[k])) > 0) seen_[varOf(ls[k])] = 1;
-    }
-    seen_[x] = 0;
-  }
-  seen_[varOf(p)] = 0;
 }
 
 bool Solver::modelValue(std::uint32_t dimacsVar) const {

@@ -64,24 +64,8 @@ class Solver {
   /// Solve; `conflictBudget < 0` means no limit.
   Result solve(std::int64_t conflictBudget = -1);
 
-  /// Incremental solve under `assumptions` (DIMACS literals), MiniSat
-  /// style: the assumptions are enqueued as pseudo-decisions before any
-  /// real decision, so every learnt clause is implied by the clause
-  /// database alone and retention across calls with different assumptions
-  /// is sound. An Unsat answer caused by the assumptions does NOT poison
-  /// the solver (okay() stays true); failedAssumptions() then holds a
-  /// clause over negated assumptions that the database refutes — with a
-  /// proof attached, that clause is also emitted as the final proof step,
-  /// checkable via checkRupUnderAssumptions().
-  Result solve(std::span<const prop::CnfLit> assumptions,
-               std::int64_t conflictBudget);
-
-  /// After an assumption-caused Unsat: the refuted subset, as a clause of
-  /// negated assumption literals (DIMACS). Empty after a genuine Unsat.
-  const prop::Clause& failedAssumptions() const { return failed_; }
-
-  /// False once the clause database itself (no assumptions) is refuted at
-  /// level 0; every later solve() returns Unsat immediately.
+  /// False once the clause database is refuted at level 0; every later
+  /// solve() returns Unsat immediately.
   bool okay() const { return okay_; }
 
   /// After Result::Sat: value of a DIMACS variable (1-based).
@@ -164,7 +148,6 @@ class Solver {
   CRef propagate();
   void analyze(CRef conflict, std::vector<Lit>& outLearnt,
                std::uint32_t& outBtLevel, std::uint32_t& outLbd);
-  void analyzeFinal(Lit p);  // fills failed_; p is on the trail (true)
   bool litRedundant(Lit l, std::uint32_t abstractLevels);
   void backtrack(std::uint32_t level);
   Lit pickBranchLit();
@@ -207,9 +190,6 @@ class Solver {
   std::vector<char> seen_;  // scratch for analyze()
   std::vector<Lit> analyzeToClear_;
   std::vector<Lit> analyzeStack_;
-
-  std::vector<Lit> assumptions_;  // of the solve() call in flight
-  prop::Clause failed_;           // last failed-assumption clause (DIMACS)
 
   bool okay_ = true;
   std::int64_t conflictsUntilReduce_ = 0;

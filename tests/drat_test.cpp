@@ -303,33 +303,6 @@ TEST(Drat, InprocessOnlyRefutationChecks) {
   EXPECT_TRUE(checkRup(cnf, proof));
 }
 
-// ---- assumption-conditional proofs ------------------------------------------
-
-TEST(Drat, AssumptionUnsatProofChecksUnderAssumptions) {
-  // SAT as such, UNSAT under assumptions: the solver's proof ends with the
-  // failed-assumption clause, which checkRupUnderAssumptions completes.
-  Cnf cnf;
-  cnf.numVars = 4;
-  cnf.addClause({-1, 2});
-  cnf.addClause({-2, 3});
-  cnf.addClause({-3, -4});
-  ASSERT_EQ(solveCnf(cnf), Result::Sat);
-
-  Solver s;
-  Proof proof;
-  s.setProof(&proof);
-  s.ensureVars(cnf.numVars);
-  for (const auto& c : cnf.clauses) ASSERT_TRUE(s.addClause(c));
-  const prop::CnfLit assume[] = {1, 4};
-  ASSERT_EQ(s.solve(assume, -1), Result::Unsat);
-  EXPECT_FALSE(s.failedAssumptions().empty());
-  EXPECT_TRUE(checkRupUnderAssumptions(cnf, assume, proof));
-  // Not a proof of unconditional unsatisfiability.
-  EXPECT_FALSE(checkRup(cnf, proof));
-  // The session is not poisoned: without the assumptions, still SAT.
-  EXPECT_EQ(s.solve(), Result::Sat);
-}
-
 TEST(Drat, InprocessedProcessorProofIsCertified) {
   // End-to-end with the front end enabled: the PE-only correctness CNF of
   // a correct processor, refuted through inprocess + CDCL, certifies

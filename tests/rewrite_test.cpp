@@ -5,6 +5,9 @@
 // random finite interpretations).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <unordered_map>
+
 #include "core/diagram.hpp"
 #include "eufm/eval.hpp"
 #include "models/spec.hpp"
@@ -13,6 +16,7 @@
 #include "rewrite/subst.hpp"
 #include "rewrite/update_chain.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace velev::rewrite {
 namespace {
@@ -294,7 +298,14 @@ INSTANTIATE_TEST_SUITE_P(
         BugParam{models::BugKind::RetireIgnoresValidResult, 6, 3, 2},
         BugParam{models::BugKind::RetireIgnoresValidResult, 4, 2, 1},
         BugParam{models::BugKind::CompletionSkipsWrite, 8, 2, 4},
-        BugParam{models::BugKind::CompletionSkipsWrite, 5, 2, 5}),
+        BugParam{models::BugKind::CompletionSkipsWrite, 5, 2, 5},
+        // One per kind at 250x64, at the slices the perfbench `refute`
+        // workload draws with seed 1 (fwd at the paper's slice 72).
+        BugParam{models::BugKind::ForwardingWrongOperand, 250, 64, 72},
+        BugParam{models::BugKind::ForwardingStaleResult, 250, 64, 238},
+        BugParam{models::BugKind::RetireIgnoresValidResult, 250, 64, 15},
+        BugParam{models::BugKind::AluWrongOpcode, 250, 64, 181},
+        BugParam{models::BugKind::CompletionSkipsWrite, 250, 64, 314}),
     [](const auto& info) {
       return "kind" + std::to_string(static_cast<int>(info.param.kind)) +
              "N" + std::to_string(info.param.n) + "k" +
@@ -335,6 +346,169 @@ TEST(EngineBugsPaper, WrongOperandBugOnSlice1IsHarmless) {
       cx, isa, impl->init, impl->config, d.implRegFile, d.specRegFile);
   EXPECT_TRUE(rw.ok) << rw.message;
 }
+
+// ---- rule counters -----------------------------------------------------------
+
+// The rule counters of a mid-size correct design are pinned: a faster
+// matcher must fire exactly the same rules. The slice node counts only
+// record what the checks intern, so they may shrink but never grow.
+TEST(EngineCounters, PinnedAt64x8) {
+  Context cx;
+  const models::Isa isa = models::Isa::declare(cx);
+  auto impl = models::buildOoO(cx, isa, {64, 8});
+  auto spec = models::buildSpec(cx, isa);
+  const core::Diagram d = core::buildDiagram(cx, *impl, *spec);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const RewriteResult rw = rewriteRobUpdates(
+        cx, isa, impl->init, impl->config, d.implRegFile, d.specRegFile, p);
+    ASSERT_TRUE(rw.ok) << rw.message;
+    EXPECT_EQ(rw.stats.slicesChecked, 64u);
+    EXPECT_EQ(rw.stats.contextChecks, 72u);
+    EXPECT_EQ(rw.stats.movesApplied, 28u);
+    EXPECT_EQ(rw.stats.mergesApplied, 8u);
+    EXPECT_EQ(rw.stats.forwardingMatches, 128u);
+    EXPECT_EQ(rw.stats.rulesFired(), 300u);
+    EXPECT_EQ(rw.updatesRemoved, 136u);
+    EXPECT_LE(rw.stats.sliceNodesTotal, 323u);
+    EXPECT_LE(rw.stats.sliceNodesMax, 6u);
+  }
+}
+
+// ---- structural forwarding matcher -------------------------------------------
+
+// `root` rebuilt through the smart constructors with node `from` replaced
+// by `to`, memory arguments included: a one-node perturbation of a design.
+Expr replaceNode(Context& cx, Expr root, Expr from, Expr to) {
+  using eufm::Kind;
+  std::unordered_map<Expr, Expr> map{{from, to}};
+  std::vector<std::pair<Expr, bool>> stack = {{root, false}};
+  while (!stack.empty()) {
+    const auto [e, expanded] = stack.back();
+    stack.pop_back();
+    if (map.count(e)) continue;
+    if (cx.args(e).empty()) {
+      map.emplace(e, e);
+      continue;
+    }
+    if (!expanded) {
+      stack.emplace_back(e, true);
+      for (Expr a : cx.args(e))
+        if (!map.count(a)) stack.emplace_back(a, false);
+      continue;
+    }
+    std::vector<Expr> m;
+    for (Expr a : cx.args(e)) m.push_back(map.at(a));
+    Expr r = eufm::kNoExpr;
+    switch (cx.kind(e)) {
+      case Kind::Not: r = cx.mkNot(m[0]); break;
+      case Kind::And: r = cx.mkAnd(m[0], m[1]); break;
+      case Kind::Or: r = cx.mkOr(m[0], m[1]); break;
+      case Kind::IteF: r = cx.mkIteF(m[0], m[1], m[2]); break;
+      case Kind::IteT: r = cx.mkIteT(m[0], m[1], m[2]); break;
+      case Kind::Eq: r = cx.mkEq(m[0], m[1]); break;
+      case Kind::Up:
+      case Kind::Uf: r = cx.apply(cx.funcOf(e), m); break;
+      case Kind::Read: r = cx.mkRead(m[0], m[1]); break;
+      case Kind::Write: r = cx.mkWrite(m[0], m[1], m[2]); break;
+      default: ADD_FAILURE() << "unexpected kind"; return root;
+    }
+    map.emplace(e, r);
+  }
+  return map.at(root);
+}
+
+// The engine matches forwarding hits Valid_j & (Dest_j = src) and the
+// availability chain by node structure instead of rebuilding them through
+// the hash-cons table. Perturb one level of one slice's forwarding chain
+// or availability chain in a correct design — a wrong Valid_j, Dest_j,
+// Result_j or ValidResult_j, or the Eq matched against the other operand's
+// source — and the engine must report exactly that slice. Level 0 of the
+// availability chain is the folded form Or(!hit_0, ValidResult_0), so the
+// level-0 cases cover it. Parameter: worker count (0 = no pool).
+class StructuralMatch : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(StructuralMatch, RejectsEveryOneLevelPerturbation) {
+  constexpr unsigned n = 12, k = 3, slice = 9;  // 0-based: slice 10 of 12
+  Context cx;
+  const models::Isa isa = models::Isa::declare(cx);
+  auto impl = models::buildOoO(cx, isa, {n, k});
+  auto spec = models::buildSpec(cx, isa);
+  const core::Diagram d = core::buildDiagram(cx, *impl, *spec);
+  const models::RobInitState& in = impl->init;
+  std::unique_ptr<ThreadPool> pool;
+  if (GetParam() > 0) pool = std::make_unique<ThreadPool>(GetParam());
+  const auto rewrite = [&](Expr implRegFile) {
+    return rewriteRobUpdates(cx, isa, in, impl->config, implRegFile,
+                             d.specRegFile, pool.get());
+  };
+  ASSERT_TRUE(rewrite(d.implRegFile).ok);
+
+  enum class Wrong { Valid, Dest, Source, Result, ValidResult };
+  unsigned cases = 0;
+  for (unsigned o = 0; o < 2; ++o) {
+    const Expr src = o == 0 ? in.src1[slice] : in.src2[slice];
+    const Expr other = o == 0 ? in.src2[slice] : in.src1[slice];
+    // The slice's forwarding and availability chains, level by level, as
+    // the model builds them (hash-consing finds the existing nodes).
+    std::vector<Expr> fwd, avail;
+    {
+      const std::size_t before = cx.numNodes();
+      Expr f = cx.mkRead(in.regFile, src), a = cx.mkTrue();
+      for (unsigned j = 0; j < slice; ++j) {
+        const Expr hit = cx.mkAnd(in.valid[j], cx.mkEq(in.dest[j], src));
+        fwd.push_back(f = cx.mkIteT(hit, in.result[j], f));
+        avail.push_back(a = cx.mkIteF(hit, in.validResult[j], a));
+      }
+      ASSERT_EQ(cx.numNodes(), before) << "chains are not in the design";
+    }
+    for (unsigned j : {0u, 4u, slice - 1}) {
+      const unsigned w = j + 2;  // another entry, not the checked slice
+      const Expr fwdRest = j == 0 ? cx.mkRead(in.regFile, src) : fwd[j - 1];
+      const Expr availRest = j == 0 ? cx.mkTrue() : avail[j - 1];
+      for (Wrong what : {Wrong::Valid, Wrong::Dest, Wrong::Source,
+                         Wrong::Result, Wrong::ValidResult}) {
+        const Expr hit = cx.mkAnd(
+            in.valid[what == Wrong::Valid ? w : j],
+            cx.mkEq(in.dest[what == Wrong::Dest ? w : j],
+                    what == Wrong::Source ? other : src));
+        // Result_j lives on the forwarding chain, ValidResult_j on the
+        // availability chain; a wrong hit goes on each chain in turn.
+        std::vector<std::pair<Expr, Expr>> edits;
+        if (what != Wrong::ValidResult)
+          edits.emplace_back(
+              fwd[j], cx.mkIteT(hit, in.result[what == Wrong::Result ? w : j],
+                                fwdRest));
+        if (what != Wrong::Result)
+          edits.emplace_back(
+              avail[j],
+              cx.mkIteF(hit,
+                        in.validResult[what == Wrong::ValidResult ? w : j],
+                        availRest));
+        for (const auto& [from, to] : edits) {
+          SCOPED_TRACE("operand " + std::to_string(o + 1) + ", level " +
+                       std::to_string(j) + ", perturbation " +
+                       std::to_string(static_cast<int>(what)) +
+                       (from == fwd[j] ? " (forwarding)" : " (availability)"));
+          ASSERT_NE(from, to);
+          const RewriteResult rw =
+              rewrite(replaceNode(cx, d.implRegFile, from, to));
+          EXPECT_FALSE(rw.ok);
+          EXPECT_EQ(rw.failedSlice, slice + 1) << rw.message;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2u * 3u * 8u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, StructuralMatch, ::testing::Values(0u, 4u),
+                         [](const auto& info) {
+                           return info.param == 0
+                                      ? std::string("Sequential")
+                                      : "Pool" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace velev::rewrite

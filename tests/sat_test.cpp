@@ -215,66 +215,5 @@ TEST(Sat, IncrementalInterfaceRejectsAfterLevelZeroConflict) {
   EXPECT_EQ(s.solve(), Result::Unsat);
 }
 
-// ---- assumption-based solving -----------------------------------------------
-
-TEST(Sat, AssumptionUnsatDoesNotPoisonTheSolver) {
-  // x1 -> x2 -> x3; assuming x1 and ¬x3 is contradictory, but the solver
-  // must stay usable, report the failed assumptions, and then solve the
-  // same formula Sat without them (MiniSat-style sessions).
-  Solver s;
-  s.ensureVars(3);
-  for (const Clause& c :
-       {Clause{-1, 2}, Clause{-2, 3}})
-    ASSERT_TRUE(s.addClause(c));
-  const prop::CnfLit bad[] = {1, -3};
-  EXPECT_EQ(s.solve(bad, -1), Result::Unsat);
-  EXPECT_TRUE(s.okay());
-  const prop::Clause& failed = s.failedAssumptions();
-  EXPECT_FALSE(failed.empty());
-  // The failed-assumption clause is over NEGATED failed assumptions.
-  for (const prop::CnfLit l : failed)
-    EXPECT_TRUE(l == -1 || l == 3) << l;
-  EXPECT_EQ(s.solve(), Result::Sat);
-  const prop::CnfLit fine[] = {1};
-  EXPECT_EQ(s.solve(fine, -1), Result::Sat);
-  EXPECT_TRUE(s.modelValue(1));
-  EXPECT_TRUE(s.modelValue(2));
-  EXPECT_TRUE(s.modelValue(3));
-}
-
-TEST(Sat, AssumptionVerdictsMatchAddedUnits) {
-  // Property: solve(cnf, assumptions) must agree with solving
-  // cnf ∧ assumption-units from scratch.
-  Rng rng(2718);
-  for (int iter = 0; iter < 60; ++iter) {
-    Cnf cnf;
-    cnf.numVars = 6 + rng.below(5);
-    const unsigned m = 12 + rng.below(24);
-    for (unsigned i = 0; i < m; ++i) {
-      Clause c;
-      const unsigned len = 2 + rng.below(2);
-      for (unsigned j = 0; j < len; ++j) {
-        const int v = 1 + static_cast<int>(rng.below(cnf.numVars));
-        c.push_back(rng.coin() ? v : -v);
-      }
-      cnf.addClause(c);
-    }
-    std::vector<prop::CnfLit> assume;
-    for (int v = 1; v <= 3; ++v)
-      if (rng.coin()) assume.push_back(rng.coin() ? v : -v);
-
-    Solver s;
-    s.ensureVars(cnf.numVars);
-    bool loaded = true;
-    for (const auto& c : cnf.clauses) loaded = loaded && s.addClause(c);
-    const Result viaAssumptions =
-        loaded ? s.solve(assume, -1) : Result::Unsat;
-
-    Cnf withUnits = cnf;
-    for (const prop::CnfLit a : assume) withUnits.addClause({a});
-    EXPECT_EQ(viaAssumptions, solveCnf(withUnits)) << "iter " << iter;
-  }
-}
-
 }  // namespace
 }  // namespace velev::sat
