@@ -13,8 +13,9 @@
 // the sweep continues with the next cell.
 //
 // The sweep checkpoints itself: after every finished cell the runner
-// rewrites paper_scale.checkpoint.json (atomic tmp+rename), and the next
-// invocation restores the finished cells and re-verifies only the rest.
+// appends its record as one atomic segment to the paper_scale.checkpoint/
+// result store, and the next invocation restores the finished cells and
+// re-verifies only the rest.
 // Kill it, re-run it, and it picks up where it stopped.
 //
 // Defaults finish in minutes; the environment scales it up:
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
   core::GridRunOptions gopts;
   gopts.jobs = 1;  // few huge cells: parallelize inside them, not across
   gopts.cellJobs = jobs;
-  gopts.checkpointPath = "paper_scale.checkpoint.json";
+  gopts.checkpointPath = "paper_scale.checkpoint";
   gopts.resume = true;  // a killed sweep re-runs only its unfinished cells
 
   std::printf("paper_scale: %zu cells toward ROB 1500 x width 128 "

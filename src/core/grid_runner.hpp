@@ -11,7 +11,8 @@
 // derived from it are unsynchronized by design — sharing or cross-thread
 // interning is a data race. The grid runner never passes expressions
 // between cells; the only shared state is the results vector, written at
-// disjoint indices and read after all futures are joined. Results are
+// disjoint indices and read after all futures are joined, and the
+// checkpoint store, which serializes appends on its own mutex. Results are
 // returned in input order, so a parallel run is observationally identical
 // to the sequential one (up to wall-clock fields).
 //
@@ -38,14 +39,6 @@
 
 namespace velev::core {
 
-/// Version of the checkpoint.json schema written by a grid run with
-/// GridRunOptions::checkpointPath (the "version" field — versioned exactly
-/// like manifest.json's schema_version). Bump on any breaking change and
-/// document the migration in docs/SCALING.md. A resume load rejects
-/// mismatched versions wholesale: stale checkpoints restore nothing and
-/// every cell simply re-runs.
-constexpr int kGridCheckpointSchemaVersion = 1;
-
 struct GridCell {
   unsigned robSize = 8;
   unsigned issueWidth = 2;
@@ -61,10 +54,10 @@ struct GridCellResult {
   bool fellBack = false;        // FallbackPolicy retried this cell
   /// When fellBack: the verdict of the original (pre-retry) attempt.
   Verdict firstVerdict = Verdict::Inconclusive;
-  /// Restored from a checkpoint file instead of re-verified (resume mode).
-  /// The report's verdict/seconds/counters are the recorded values; fields
-  /// a checkpoint record does not carry (typed engine sub-structs beyond
-  /// the counter block) are rehydrated from the counters.
+  /// Restored from the checkpoint store instead of re-verified (resume
+  /// mode). The report is reportFromResponse() of the stored record: the
+  /// recorded verdict, seconds and counters, typed sub-structs rebuilt
+  /// from the counter block.
   bool restored = false;
 };
 
@@ -94,18 +87,20 @@ struct GridRunOptions {
   /// merged `manifest.json` summing stage times and counters over the grid.
   /// The directory is created if missing.
   std::string traceDir;
-  /// When non-empty: after every finished (non-skipped) cell the runner
-  /// atomically rewrites this checkpoint file (schema in docs/SCALING.md,
-  /// versioned like manifest.json) with one record per completed cell,
-  /// keyed by VerifyRequest::cacheKey(). A sweep killed mid-run loses at
-  /// most the cells in flight.
+  /// When non-empty: a core::ResultStore directory (created if missing;
+  /// schema in docs/SCALING.md). Every finished verifyCell attempt appends
+  /// one VerifyResponse segment keyed by its request's cacheKey(), so a
+  /// fallback cell leaves two records: the PE-only attempt and its
+  /// rewriting retry. A sweep killed mid-run loses at most the cells in
+  /// flight. A regular file at this path (a pre-store checkpoint) restores
+  /// nothing and is replaced by the store.
   std::string checkpointPath;
-  /// With `resume` and an existing checkpoint file: cells whose cache key
-  /// has a record are not re-verified — their results are restored
-  /// (GridCellResult::restored) and the run continues with the unfinished
-  /// cells only. A checkpoint written by a different binary (the cache key
-  /// mixes in trace::gitDescribe()) simply matches nothing. Skipped cells
-  /// are never recorded, so a cancelled sweep resumes them too.
+  /// With `resume`: cells whose records are all in the store are not
+  /// re-verified — their results are restored (GridCellResult::restored)
+  /// and the run continues with the unfinished cells only. A store written
+  /// by a different binary (the cache key mixes in trace::gitDescribe())
+  /// simply matches nothing. Skipped cells are never recorded, so a
+  /// cancelled sweep resumes them too.
   bool resume = false;
   /// Worker threads *inside* each cell (VerifyOptions::jobs): parallel
   /// rewrite slice checks and CNF build. Orthogonal to `jobs`, which fans

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 #include <sstream>
 
 #include "support/hash.hpp"
@@ -270,6 +271,84 @@ VerifyResponse VerifyResponse::fromReport(const VerifyRequest& req,
   resp.rssHighWaterKb = rep.outcome.rssHighWaterKb;
   resp.counters = reportCounters(rep);
   return resp;
+}
+
+VerifyReport reportFromResponse(const VerifyResponse& resp, Engine engine) {
+  VerifyReport rep;
+  rep.engine = engine;
+  rep.outcome.verdict = resp.verdict;
+  rep.outcome.reason = resp.reason;
+  rep.outcome.failedSlice = resp.failedSlice;
+  rep.outcome.seconds = resp.seconds;
+  rep.outcome.peakArenaBytes = resp.peakArenaBytes;
+  rep.outcome.rssHighWaterKb = resp.rssHighWaterKb;
+
+  const std::map<std::string, std::uint64_t> c(resp.counters.begin(),
+                                               resp.counters.end());
+  auto u64 = [&](const char* k) {
+    auto it = c.find(k);
+    return it == c.end() ? std::uint64_t{0} : it->second;
+  };
+  auto u32 = [&](const char* k) { return static_cast<unsigned>(u64(k)); };
+  rep.simStats.cycles = u64("tlsim.cycles");
+  rep.simStats.signalEvals = u64("tlsim.signal_evals");
+  rep.cxStats.nodes = u64("eufm.nodes");
+  rep.cxStats.memoryReads = u64("eufm.memory_reads");
+  rep.cxStats.memoryWrites = u64("eufm.memory_writes");
+  rep.cxStats.arenaBytes = u64("eufm.arena_bytes");
+  rep.updatesRemoved = u32("rewrite.updates_removed");
+  rewrite::RewriteStats& rw = rep.rewriteStats;
+  rw.slicesChecked = u32("rewrite.slices_checked");
+  rw.contextChecks = u32("rewrite.context_checks");
+  rw.movesApplied = u32("rewrite.moves_applied");
+  rw.mergesApplied = u32("rewrite.merges_applied");
+  rw.forwardingMatches = u32("rewrite.forwarding_matches");
+  rw.sliceNodesTotal = u64("rewrite.slice_nodes_total");
+  rw.sliceNodesMax = u64("rewrite.slice_nodes_max");
+  evc::TranslationStats& ev = rep.evcStats;
+  ev.eijVars = u32("evc.eij_vars");
+  ev.otherPrimaryVars = u32("evc.other_primary_vars");
+  ev.pEquations = u32("evc.p_equations");
+  ev.gEquations = u32("evc.g_equations");
+  ev.gVars = u32("evc.g_vars");
+  ev.memoryEquations = u32("evc.memory_equations");
+  ev.freshTermVars = u32("evc.fresh_term_vars");
+  ev.freshBoolVars = u32("evc.fresh_bool_vars");
+  ev.transitivity.fillInEdges = u32("evc.transitivity_fill_in_edges");
+  ev.transitivity.triangles = u32("evc.transitivity_triangles");
+  ev.transitivity.clauses = u32("evc.transitivity_clauses");
+  ev.cnfVars = u64("cnf.vars");
+  ev.cnfClauses = u64("cnf.clauses");
+  sat::Stats& sa = rep.satStats;
+  sa.decisions = u64("sat.decisions");
+  sa.propagations = u64("sat.propagations");
+  sa.conflicts = u64("sat.conflicts");
+  sa.learnts = u64("sat.learnts");
+  sa.restarts = u64("sat.restarts");
+  // The sat.inprocess.* block's presence restores `inprocessed`; the bdd.*
+  // block is keyed off the engine.
+  if (c.count("sat.inprocess.rounds") != 0) {
+    rep.inprocessed = true;
+    sat::InprocessStats& ip = rep.inprocessStats;
+    ip.rounds = u64("sat.inprocess.rounds");
+    ip.clausesBefore = u64("sat.inprocess.clauses_before");
+    ip.clausesAfter = u64("sat.inprocess.clauses_after");
+    ip.clausesRemoved = u64("sat.inprocess.clauses_removed");
+    ip.clausesStrengthened = u64("sat.inprocess.clauses_strengthened");
+    ip.litsRemoved = u64("sat.inprocess.lits_removed");
+    ip.varsEliminated = u64("sat.inprocess.vars_eliminated");
+    ip.varsSubstituted = u64("sat.inprocess.vars_substituted");
+    ip.reconstructionDepth = u64("sat.inprocess.reconstruction_depth");
+  }
+  if (engine != Engine::Sat) {
+    bdd::BddStats& bs = rep.bddStats;
+    bs.nodesPeak = u64("bdd.nodes_peak");
+    bs.cacheHits = u64("bdd.cache_hits");
+    bs.cacheLookups = u64("bdd.cache_lookups");
+    bs.reorderings = u64("bdd.reorderings");
+    bs.gcRuns = u64("bdd.gc_runs");
+  }
+  return rep;
 }
 
 VerifyResponse VerifyResponse::makeError(std::uint64_t id,

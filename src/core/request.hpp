@@ -162,6 +162,14 @@ struct VerifyResponse {
                                              std::string* error = nullptr);
 };
 
+/// Inverse of VerifyResponse::fromReport(): rebuild the report a stored
+/// response was flattened from, typed stat sub-structs included, so a
+/// restored result answers the same questions a fresh one does.
+/// reportCounters() of the result equals the response's counter block
+/// (derived counters are recomputed from their restored terms). `engine`
+/// comes from the request, which the response's cache key covers.
+VerifyReport reportFromResponse(const VerifyResponse& resp, Engine engine);
+
 /// Verify the cell a request describes — the primary entry point of the
 /// library since the velev_serve API redesign. `memo` optionally consults a
 /// content-addressed solve memo first (the serve worker's batching lane —

@@ -1,6 +1,8 @@
-#include "serve/journal.hpp"
+#include "core/result_store.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,7 +13,7 @@
 #include "support/json.hpp"
 #include "support/trace.hpp"
 
-namespace velev::serve {
+namespace velev::core {
 
 namespace fs = std::filesystem;
 
@@ -19,29 +21,14 @@ namespace {
 
 std::string keyHex(std::uint64_t key) {
   char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(key));
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, key);
   return buf;
 }
 
 bool parseKeyHex(std::string_view hex, std::uint64_t* key) {
-  if (hex.size() != 16) return false;
-  std::uint64_t k = 0;
-  for (const char c : hex) {
-    int d;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else return false;
-    k = (k << 4) | static_cast<std::uint64_t>(d);
-  }
-  *key = k;
-  return true;
-}
-
-/// The daemon's cacheability policy, re-checked at the persistence
-/// boundary: errors and wall-clock Timeouts never reach disk.
-bool persistable(const core::VerifyResponse& resp) {
-  return resp.error.empty() && resp.verdict != core::Verdict::Timeout;
+  const char* end = hex.data() + hex.size();
+  const auto [at, ec] = std::from_chars(hex.data(), end, *key, 16);
+  return hex.size() == 16 && ec == std::errc() && at == end;
 }
 
 bool segmentNumber(const fs::path& p, std::uint64_t* n) {
@@ -60,14 +47,15 @@ bool segmentNumber(const fs::path& p, std::uint64_t* n) {
 
 }  // namespace
 
-CacheJournal::CacheJournal(Options opts) : opts_(std::move(opts)) {
+ResultStore::ResultStore(Options opts) : opts_(std::move(opts)) {
   if (opts_.compactThreshold < 2) opts_.compactThreshold = 2;
   std::error_code ec;
   fs::create_directories(opts_.dir, ec);  // load()/append() cope if this failed
 }
 
-std::vector<std::pair<std::uint64_t, core::VerifyResponse>> CacheJournal::load(
+std::vector<std::pair<std::uint64_t, VerifyResponse>> ResultStore::load(
     LoadStats* stats) {
+  TRACE_SPAN("store.load");
   std::lock_guard<std::mutex> lk(mutex_);
   LoadStats ls;
 
@@ -80,8 +68,7 @@ std::vector<std::pair<std::uint64_t, core::VerifyResponse>> CacheJournal::load(
   }
   std::sort(segments.begin(), segments.end());
 
-  live_.clear();
-  std::vector<std::pair<std::uint64_t, core::VerifyResponse>> out;
+  std::vector<std::pair<std::uint64_t, VerifyResponse>> out;
   // Later segments win on duplicate keys: index of each key in `out`.
   std::unordered_map<std::uint64_t, std::size_t> index;
 
@@ -96,25 +83,22 @@ std::vector<std::pair<std::uint64_t, core::VerifyResponse>> CacheJournal::load(
     const std::optional<JsonValue> v = parseJson(text.str());
     // Corrupt, truncated, wrong-version or stale-binary segments degrade
     // to cold entries — skipped wholesale, never an error.
-    if (!in || !v.has_value() || !v->isObject() ||
-        v->uintAt("version") != kJournalSchemaVersion ||
+    const JsonValue* entries =
+        in && v.has_value() && v->isObject() ? v->find("entries") : nullptr;
+    if (entries == nullptr || !entries->isArray() ||
+        v->uintAt("version") != kSchemaVersion ||
         v->stringAt("git_describe") != trace::gitDescribe()) {
-      ++ls.skippedSegments;
-      continue;
-    }
-    const JsonValue* entries = v->find("entries");
-    if (entries == nullptr || !entries->isArray()) {
       ++ls.skippedSegments;
       continue;
     }
     for (const JsonValue& e : entries->array) {
       std::uint64_t key = 0;
       const JsonValue* respJson = e.find("response");
-      std::optional<core::VerifyResponse> resp;
+      std::optional<VerifyResponse> resp;
       if (e.isObject() && parseKeyHex(e.stringAt("key"), &key) &&
           respJson != nullptr)
-        resp = core::VerifyResponse::fromJson(*respJson);
-      if (!resp.has_value() || !persistable(*resp)) {
+        resp = VerifyResponse::fromJson(*respJson);
+      if (!resp.has_value() || !resp->error.empty()) {
         ++ls.skippedEntries;
         continue;
       }
@@ -132,15 +116,14 @@ std::vector<std::pair<std::uint64_t, core::VerifyResponse>> CacheJournal::load(
   return out;
 }
 
-bool CacheJournal::writeSegmentLocked(
-    const std::vector<std::pair<std::uint64_t, core::VerifyResponse>>&
-        entries) {
+bool ResultStore::writeSegmentLocked(
+    const std::vector<std::pair<std::uint64_t, VerifyResponse>>& entries) {
   const fs::path final =
       fs::path(opts_.dir) / ("seg-" + std::to_string(nextSegment_) + ".json");
   const bool written = replaceFileAtomically(final, [&](std::ostream& out) {
     JsonWriter w(out);
     w.beginObject();
-    w.kv("version", kJournalSchemaVersion);
+    w.kv("version", kSchemaVersion);
     w.kv("git_describe", trace::gitDescribe());
     w.key("entries");
     w.beginArray();
@@ -160,23 +143,22 @@ bool CacheJournal::writeSegmentLocked(
   return true;
 }
 
-void CacheJournal::append(std::uint64_t key,
-                          const core::VerifyResponse& resp) {
-  if (!persistable(resp)) return;
+bool ResultStore::append(std::uint64_t key, const VerifyResponse& resp) {
+  if (!resp.error.empty()) return false;
+  TRACE_SPAN("store.append");
   std::lock_guard<std::mutex> lk(mutex_);
-  bool replaced = false;
-  for (auto& [k, r] : live_)
-    if (k == key) {
-      r = resp;
-      replaced = true;
-      break;
-    }
-  if (!replaced) live_.emplace_back(key, resp);
-  if (!writeSegmentLocked({{key, resp}})) return;
+  const auto it = std::find_if(live_.begin(), live_.end(),
+                               [&](const auto& e) { return e.first == key; });
+  if (it != live_.end())
+    it->second = resp;
+  else
+    live_.emplace_back(key, resp);
+  if (!writeSegmentLocked({{key, resp}})) return false;
   if (segmentsOnDisk_ > opts_.compactThreshold) compactLocked();
+  return true;
 }
 
-void CacheJournal::compactLocked() {
+void ResultStore::compactLocked() {
   // Fold every live entry into one fresh segment, then delete the older
   // ones. The fold is written (and atomically renamed) FIRST, so a crash
   // between the two steps only leaves redundant segments behind.
@@ -194,9 +176,9 @@ void CacheJournal::compactLocked() {
   segmentsOnDisk_ = 1;
 }
 
-std::size_t CacheJournal::segmentCount() const {
+std::size_t ResultStore::segmentCount() const {
   std::lock_guard<std::mutex> lk(mutex_);
   return segmentsOnDisk_;
 }
 
-}  // namespace velev::serve
+}  // namespace velev::core

@@ -69,7 +69,7 @@ class ResultCache {
   Claim claim(std::uint64_t key, core::VerifyResponse* out, Waiter waiter);
 
   /// Install a ready entry restored from the persistent journal
-  /// (serve/journal.hpp). No-op when the key already exists (ready or
+  /// (core/result_store.hpp). No-op when the key already exists (ready or
   /// in-flight). Counts toward `entries` and is LRU-managed like any other
   /// ready entry, but does not touch hit/miss statistics — seeding is
   /// startup, not traffic.

@@ -92,13 +92,21 @@ VerifyServer::VerifyServer(ServerOptions opts)
       cache_(opts_.cacheMaxEntries),
       pool_(std::make_unique<ThreadPool>(opts_.jobs == 0 ? 1 : opts_.jobs)) {
   if (!opts_.cacheDir.empty()) {
-    CacheJournal::Options jo;
-    jo.dir = opts_.cacheDir;
-    journal_ = std::make_unique<CacheJournal>(std::move(jo));
-    CacheJournal::LoadStats ls;
-    const auto restored = journal_->load(&ls);
-    for (const auto& [key, resp] : restored) cache_.seed(key, resp);
-    collector_.addCounter("serve.journal.restored", restored.size());
+    journal_ = std::make_unique<core::ResultStore>(
+        core::ResultStore::Options{opts_.cacheDir});
+    core::ResultStore::LoadStats ls;
+    std::uint64_t restored = 0;
+    for (const auto& [key, resp] : journal_->load(&ls)) {
+      // Serving never replays a timeout, whoever stored it (see
+      // completeJob).
+      if (resp.verdict == core::Verdict::Timeout) {
+        ++ls.skippedEntries;
+        continue;
+      }
+      cache_.seed(key, resp);
+      ++restored;
+    }
+    collector_.addCounter("serve.journal.restored", restored);
     collector_.addCounter("serve.journal.segments", ls.segments);
     collector_.addCounter("serve.journal.skipped_segments",
                           ls.skippedSegments);
@@ -345,7 +353,7 @@ void VerifyServer::completeJob(const core::VerifyRequest& req,
   // cacheable.
   const bool cacheable = resp.verdict != core::Verdict::Timeout;
   cache_.fulfill(key, resp, cacheable);
-  // The journal applies the same policy (and re-checks it).
+  // The journal keeps the same policy: it only ever sees cacheable results.
   if (cacheable && journal_ != nullptr) journal_->append(key, resp);
   done(resp);  // the owner's own answer is the fresh one (cached=false)
 }

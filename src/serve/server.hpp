@@ -30,9 +30,10 @@
 // freezing one would replay a nondeterministic answer forever.
 //
 // PERSISTENCE: with cacheDir set, every cacheable result is also appended
-// to a serve/journal.hpp segment journal and replayed into the cache at
-// construction — a restarted daemon keeps its warm set (same binary only;
-// the journal is version-checked).
+// to a core::ResultStore directory (the cache journal) and replayed into
+// the cache at construction — a restarted daemon keeps its warm set (same
+// binary only; the store is version-checked). Timeout records, which a
+// grid run may have written into the same store, are skipped on replay.
 //
 // ADMISSION: beyond the static budget clamps, maxQueueDepth /
 // maxPendingSeconds reject NEW work (cache misses about to become jobs)
@@ -55,8 +56,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/result_store.hpp"
 #include "serve/cache.hpp"
-#include "serve/journal.hpp"
 #include "serve/supervisor.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -94,7 +95,8 @@ struct ServerOptions {
   /// TEST HOOK, forwarded to WorkerPoolOptions::crashAfter.
   int workerCrashAfter = 0;
 
-  /// Persistent-cache directory (serve/journal.hpp); empty = memory-only.
+  /// Persistent-cache directory (core/result_store.hpp); empty =
+  /// memory-only.
   std::string cacheDir;
 
   /// Live-load admission (0 = unlimited): reject a new job when this many
@@ -192,7 +194,7 @@ class VerifyServer {
   ServerOptions opts_;
   ResultCache cache_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<CacheJournal> journal_;
+  std::unique_ptr<core::ResultStore> journal_;
   std::unique_ptr<WorkerPool> workerPool_;
   /// Non-empty when workers > 0 was requested but the pool could not be
   /// started: start() fails with it, and submits answer it as an error.

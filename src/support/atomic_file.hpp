@@ -1,5 +1,6 @@
-// All-or-nothing file replacement for the on-disk result stores (the grid
-// checkpoint and the serve cache journal).
+// All-or-nothing file replacement for the segments of the on-disk result
+// store (core/result_store.hpp: grid checkpoints and the serve cache
+// journal).
 //
 // The content is written to a `<path>.tmp` sibling, the stream is closed
 // and checked, and only then renamed over `path` (atomic on POSIX: a

@@ -8,7 +8,7 @@
 namespace velev::trace {
 
 namespace detail {
-thread_local ThreadState tlsState;
+thread_local constinit ThreadState tlsState;
 }  // namespace detail
 
 Collector::Collector() : epoch_(Clock::now()) {}

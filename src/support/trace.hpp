@@ -54,7 +54,10 @@ struct ThreadState {
   std::uint32_t tid = 0;
   std::uint32_t depth = 0;
 };
-extern thread_local ThreadState tlsState;
+/// constinit: initialized at load time, so every access is a plain
+/// thread-local read with no lazy-init wrapper call across translation
+/// units (which UBSan reports as a null member access).
+extern thread_local constinit ThreadState tlsState;
 }  // namespace detail
 
 /// The Collector attached to the calling thread, or nullptr (tracing off).

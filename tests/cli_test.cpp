@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
 
 #include "core/request.hpp"
+#include "core/result_store.hpp"
 #include "core/verifier.hpp"
 #include "prop/cnf.hpp"
 #include "sat/solver.hpp"
@@ -299,8 +301,8 @@ TEST(Cli, CellJobsVerdictsIdenticalToSequential) {
 }
 
 TEST(Cli, GridCheckpointResumeRestoresFinishedCells) {
-  const std::string ckpt = tmpPath("cli_resume.checkpoint.json");
-  std::remove(ckpt.c_str());
+  const std::string ckpt = tmpPath("cli_resume.store");
+  std::filesystem::remove_all(ckpt);
   const std::string grid = "--grid 'sizes=2,3;widths=1' --quiet";
 
   const CliResult first = runCli(grid + " --checkpoint " + ckpt);
@@ -308,18 +310,9 @@ TEST(Cli, GridCheckpointResumeRestoresFinishedCells) {
   EXPECT_EQ(first.output.find("restored from checkpoint"), std::string::npos)
       << first.output;
 
-  // The checkpoint file is versioned JSON with one record per cell.
-  std::ifstream in(ckpt);
-  ASSERT_TRUE(in.good()) << ckpt;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string err;
-  const auto doc = parseJson(ss.str(), &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-  EXPECT_EQ(doc->uintAt("version"), 1u);
-  const JsonValue* cells = doc->find("cells");
-  ASSERT_NE(cells, nullptr);
-  EXPECT_EQ(cells->array.size(), 2u);
+  // The checkpoint is a result store directory with one record per cell.
+  core::ResultStore store(core::ResultStore::Options{ckpt});
+  EXPECT_EQ(store.load().size(), 2u);
 
   // Resuming re-verifies nothing: both cells come back restored, with the
   // same verdict lines as the fresh run.
@@ -331,12 +324,12 @@ TEST(Cli, GridCheckpointResumeRestoresFinishedCells) {
   EXPECT_NE(second.output.find("cell 3x1: restored from checkpoint"),
             std::string::npos)
       << second.output;
-  std::remove(ckpt.c_str());
+  std::filesystem::remove_all(ckpt);
 }
 
 TEST(Cli, CheckpointUsageErrors) {
   EXPECT_EQ(runCli("--grid 4x2 --resume").exitCode, 2);  // needs --checkpoint
-  const std::string ckpt = tmpPath("cli_usage.checkpoint.json");
+  const std::string ckpt = tmpPath("cli_usage.store");
   // --checkpoint is a grid-mode flag.
   EXPECT_EQ(runCli("--size 4 --width 2 --checkpoint " + ckpt).exitCode, 2);
   EXPECT_EQ(runCli("--size 4 --width 2 --cell-jobs 0").exitCode, 2);

@@ -226,5 +226,61 @@ INSTANTIATE_TEST_SUITE_P(Registry, VerdictNames,
                            return std::to_string(info.index);
                          });
 
+// reportFromResponse() is the inverse of VerifyResponse::fromReport(): the
+// report rebuilt from a stored response flattens to the same counter block
+// and carries the same outcome, on every engine, with inprocessing on and
+// off, under Positive Equality alone and on an injected-bug cell.
+struct RoundTripCase {
+  const char* name;
+  VerifyRequest req;
+};
+
+std::vector<RoundTripCase> roundTripCases() {
+  std::vector<RoundTripCase> cases;
+  for (const Engine e : {Engine::Sat, Engine::Bdd, Engine::Both}) {
+    VerifyRequest req = makeRequest(4, 2);
+    req.engine = e;
+    cases.push_back({engineName(e), req});
+  }
+  VerifyRequest noInprocess = makeRequest(4, 2);
+  noInprocess.inprocess = false;
+  cases.push_back({"no_inprocess", noInprocess});
+  VerifyRequest pe = makeRequest(3, 1);
+  pe.strategy = Strategy::PositiveEqualityOnly;
+  cases.push_back({"pe_only", pe});
+  VerifyRequest bug = makeRequest(8, 2);
+  bug.bug = {models::BugKind::ForwardingWrongOperand, 3};
+  cases.push_back({"bug", bug});
+  return cases;
+}
+
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
+
+class ResponseRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
+
+TEST_P(ResponseRoundTrip, ReportFromResponseInvertsFromReport) {
+  const VerifyRequest& req = GetParam().req;
+  const VerifyReport rep = verify(req);
+  const VerifyReport back =
+      reportFromResponse(VerifyResponse::fromReport(req, rep, 1.5), req.engine);
+  EXPECT_EQ(reportCounters(back), reportCounters(rep));
+  EXPECT_EQ(back.engine, rep.engine);
+  EXPECT_EQ(back.inprocessed, rep.inprocessed);
+  EXPECT_EQ(back.verdict(), rep.verdict());
+  EXPECT_EQ(back.outcome.reason, rep.outcome.reason);
+  EXPECT_EQ(back.outcome.failedSlice, rep.outcome.failedSlice);
+  EXPECT_EQ(back.outcome.seconds.sat, rep.outcome.seconds.sat);
+  EXPECT_EQ(back.outcome.peakArenaBytes, rep.outcome.peakArenaBytes);
+  if (req.bug.kind != models::BugKind::None) {
+    EXPECT_EQ(back.verdict(), Verdict::RewriteMismatch);
+    EXPECT_EQ(back.outcome.failedSlice, req.bug.index);
+  }
+}
+INSTANTIATE_TEST_SUITE_P(Request, ResponseRoundTrip,
+                         ::testing::ValuesIn(roundTripCases()),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
+
 }  // namespace
 }  // namespace velev::core

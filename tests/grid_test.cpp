@@ -1,7 +1,8 @@
 // Tests for the parallel grid runner: parallel runs must be
 // observationally identical to sequential runs (same verdicts, same
 // counters, input order preserved), cancellation must stop queued cells,
-// checkpoints must survive resume and failed saves, and
+// the checkpoint store must survive resume and failed saves and restore
+// fallback cells from their two records, and
 // makeGrid/makeGridRequests must drop impossible configurations.
 #include <gtest/gtest.h>
 
@@ -13,20 +14,27 @@
 #include <vector>
 
 #include "core/grid_runner.hpp"
+#include "core/result_store.hpp"
 #include "file_size_limit.hpp"
 
 namespace velev::core {
 namespace {
 
-/// Fresh checkpoint path under the system temp dir; removed up front so a
-/// crashed previous run cannot leak records into this one.
+/// Fresh checkpoint store directory under the system temp dir; removed up
+/// front so a crashed previous run cannot leak records into this one.
 std::string checkpointPath(const char* name) {
-  const std::string p =
-      (std::filesystem::temp_directory_path() /
-       (std::string("velev_grid_test_") + name + ".checkpoint.json"))
-          .string();
-  std::filesystem::remove(p);
+  const std::string p = (std::filesystem::temp_directory_path() /
+                         (std::string("velev_grid_test_") + name + ".store"))
+                            .string();
+  std::filesystem::remove_all(p);
   return p;
+}
+
+/// Every record in the store at `dir`, as a fresh reader sees it.
+std::vector<std::pair<std::uint64_t, VerifyResponse>> storeRecords(
+    const std::string& dir) {
+  ResultStore store(ResultStore::Options{dir});
+  return store.load();
 }
 
 TEST(Grid, MakeGridDropsImpossibleCells) {
@@ -173,8 +181,9 @@ TEST(Grid, CheckpointResumeRestoresEveryFinishedCell) {
 
   GridRunOptions first;
   first.checkpointPath = path;
+  first.jobs = 3;  // concurrent appends from the pool workers
   const auto baseline = runGrid(cells, first);
-  ASSERT_TRUE(std::filesystem::exists(path));
+  ASSERT_EQ(storeRecords(path).size(), cells.size());
 
   GridRunOptions second;
   second.checkpointPath = path;
@@ -191,7 +200,7 @@ TEST(Grid, CheckpointResumeRestoresEveryFinishedCell) {
               reportCounters(baseline[i].report))
         << "cell " << i;
   }
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
 }
 
 TEST(Grid, ResumeVerifiesOnlyUnfinishedCells) {
@@ -222,7 +231,7 @@ TEST(Grid, ResumeVerifiesOnlyUnfinishedCells) {
   EXPECT_TRUE(full[2].restored);   // ROB 2
   for (const GridCellResult& r : full)
     EXPECT_EQ(r.report.verdict(), Verdict::Correct);
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
 }
 
 TEST(Grid, CheckpointRestoresInjectedBugVerdict) {
@@ -244,7 +253,60 @@ TEST(Grid, CheckpointRestoresInjectedBugVerdict) {
   EXPECT_TRUE(resumed[0].restored);
   EXPECT_EQ(resumed[0].report.verdict(), Verdict::RewriteMismatch);
   EXPECT_EQ(resumed[0].report.outcome.failedSlice, 2u);
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
+}
+
+TEST(Grid, FallbackCellResumesFromItsTwoRecords) {
+  // Each verifyCell attempt is its own record under its own request's key:
+  // a PE-only cell that hits memout and the rewriting retry that verifies
+  // it. Resume finds both and rebuilds fellBack/firstVerdict from them.
+  VerifyRequest rw;
+  rw.robSize = 16;
+  rw.issueWidth = 2;
+  const VerifyReport rwRep = verify(rw);
+  ASSERT_EQ(rwRep.verdict(), Verdict::Correct);
+
+  VerifyRequest pe = rw;
+  pe.strategy = Strategy::PositiveEqualityOnly;
+  pe.memoryBudgetBytes = rwRep.outcome.peakArenaBytes * 2;
+  const std::vector<VerifyRequest> cells = {pe};
+  const std::string path = checkpointPath("fallback");
+  GridRunOptions opts;
+  opts.fallback = FallbackPolicy::RetryWithRewriting;
+  opts.checkpointPath = path;
+  const auto fresh = runGrid(cells, opts);
+  ASSERT_EQ(fresh.size(), 1u);
+  ASSERT_TRUE(fresh[0].fellBack);
+  ASSERT_EQ(fresh[0].firstVerdict, Verdict::MemOut);
+
+  VerifyRequest retry = pe;
+  retry.strategy = Strategy::RewritingPlusPositiveEquality;
+  const auto records = storeRecords(path);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].first, pe.cacheKey());
+  EXPECT_EQ(records[0].second.verdict, Verdict::MemOut);
+  EXPECT_EQ(records[1].first, retry.cacheKey());
+  EXPECT_EQ(records[1].second.verdict, Verdict::Correct);
+
+  opts.resume = true;
+  const auto resumed = runGrid(cells, opts);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_TRUE(resumed[0].restored);
+  EXPECT_TRUE(resumed[0].fellBack);
+  EXPECT_EQ(resumed[0].firstVerdict, Verdict::MemOut);
+  EXPECT_EQ(resumed[0].report.verdict(), Verdict::Correct);
+  EXPECT_EQ(reportCounters(resumed[0].report),
+            reportCounters(fresh[0].report));
+
+  // Without the fallback policy the same store restores the PE-only
+  // attempt as it stands: a memout, no retry.
+  opts.fallback = FallbackPolicy::None;
+  const auto plain = runGrid(cells, opts);
+  ASSERT_EQ(plain.size(), 1u);
+  EXPECT_TRUE(plain[0].restored);
+  EXPECT_FALSE(plain[0].fellBack);
+  EXPECT_EQ(plain[0].report.verdict(), Verdict::MemOut);
+  std::filesystem::remove_all(path);
 }
 
 TEST(Grid, CheckpointWithRetiredCounterRestoresCleanly) {
@@ -262,17 +324,16 @@ TEST(Grid, CheckpointWithRetiredCounterRestoresCleanly) {
   ASSERT_EQ(baseline.size(), 1u);
   ASSERT_TRUE(baseline[0].report.inprocessed);
 
-  std::string body;
+  // Re-append the cell's record with the retired counter in its block: the
+  // later segment wins on resume.
   {
-    std::ifstream is(path);
-    body.assign(std::istreambuf_iterator<char>(is),
-                std::istreambuf_iterator<char>());
+    ResultStore store(ResultStore::Options{path});
+    auto records = store.load();
+    ASSERT_EQ(records.size(), 1u);
+    VerifyResponse& resp = records[0].second;
+    resp.counters.emplace_back("sat.inprocess.failed_literals", 2);
+    ASSERT_TRUE(store.append(records[0].first, resp));
   }
-  const std::string anchor = "\"counters\": {";
-  const std::size_t at = body.find(anchor);
-  ASSERT_NE(at, std::string::npos) << body;
-  body.insert(at + anchor.size(), "\"sat.inprocess.failed_literals\": 2, ");
-  std::ofstream(path) << body;
 
   opts.resume = true;
   const auto resumed = runGrid(cells, opts);
@@ -283,7 +344,7 @@ TEST(Grid, CheckpointWithRetiredCounterRestoresCleanly) {
   EXPECT_EQ(counters, reportCounters(baseline[0].report));
   for (const auto& [name, value] : counters)
     EXPECT_NE(name, "sat.inprocess.failed_literals");
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
 }
 
 TEST(Grid, CheckpointWithoutResumeRerunsEveryCell) {
@@ -300,7 +361,7 @@ TEST(Grid, CheckpointWithoutResumeRerunsEveryCell) {
   ASSERT_EQ(again.size(), 1u);
   EXPECT_FALSE(again[0].restored);
   EXPECT_EQ(again[0].report.verdict(), Verdict::Correct);
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
 }
 
 TEST(Grid, ChangedRequestIsNotRestored) {
@@ -320,20 +381,21 @@ TEST(Grid, ChangedRequestIsNotRestored) {
   ASSERT_EQ(resumed.size(), 1u);
   EXPECT_FALSE(resumed[0].restored);
   EXPECT_EQ(resumed[0].report.verdict(), Verdict::Correct);
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
 }
 
 TEST(Grid, CorruptCheckpointDegradesToFullRun) {
-  // A truncated, malformed, or future-versioned checkpoint must never
-  // fail the sweep — it degrades to a full re-run (and is then
-  // overwritten with good records).
+  // A truncated, malformed, or future-versioned store segment must never
+  // fail the sweep — it degrades to a full re-run, whose records land in
+  // fresh segments next to it.
   const auto cells =
       makeGridRequests(std::vector<unsigned>{2}, std::vector<unsigned>{1});
   for (const char* body :
-       {"not json at all", "{\"version\": 99, \"cells\": []}",
-        "{\"version\": 1, \"cells\": \"oops\"}"}) {
+       {"not json at all", "{\"version\": 99, \"entries\": []}",
+        "{\"version\": 1, \"entries\": \"oops\"}"}) {
     const std::string path = checkpointPath("corrupt");
-    std::ofstream(path) << body;
+    std::filesystem::create_directories(path);
+    std::ofstream(std::filesystem::path(path) / "seg-1.json") << body;
     GridRunOptions opts;
     opts.checkpointPath = path;
     opts.resume = true;
@@ -341,32 +403,64 @@ TEST(Grid, CorruptCheckpointDegradesToFullRun) {
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].restored) << body;
     EXPECT_EQ(results[0].report.verdict(), Verdict::Correct);
-    std::filesystem::remove(path);
+    EXPECT_EQ(storeRecords(path).size(), 1u) << body;
+    std::filesystem::remove_all(path);
   }
 }
 
+TEST(Grid, PreStoreCheckpointFileDegradesToFullRun) {
+  // A checkpoint.json written before the result store existed sits where
+  // the store directory goes. It restores nothing (its keys could not
+  // match this binary anyway) and is replaced by a loadable store.
+  const auto cells =
+      makeGridRequests(std::vector<unsigned>{2}, std::vector<unsigned>{1});
+  const std::string path = checkpointPath("pre_store");
+  std::ofstream(path) << "{\"version\": 1, \"tool\": \"velev_grid\", "
+                         "\"cells\": [{\"key\": \""
+                      << cells[0].cacheKeyHex()
+                      << "\", \"verdict\": \"correct\"}]}";
+  GridRunOptions opts;
+  opts.checkpointPath = path;
+  opts.resume = true;
+  const auto fresh = runGrid(cells, opts);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_FALSE(fresh[0].restored);
+  EXPECT_EQ(fresh[0].report.verdict(), Verdict::Correct);
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  EXPECT_EQ(storeRecords(path).size(), 1u);
+
+  const auto resumed = runGrid(cells, opts);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_TRUE(resumed[0].restored);
+  std::filesystem::remove_all(path);
+}
+
 TEST(Grid, FailedCheckpointSaveKeepsPreviousFile) {
-  // A save that fails part-way (here: a file-size limit, as on a full
-  // disk) must leave the previous complete checkpoint in place, not rename
-  // a torn file over it.
+  // An append that fails part-way (here: a file-size limit, as on a full
+  // disk) must leave the previous complete segments in place and no torn
+  // one behind.
   const auto cells = makeGridRequests(std::vector<unsigned>{2, 3},
                                       std::vector<unsigned>{1});
   const std::string path = checkpointPath("failed_save");
   GridRunOptions opts;
   opts.checkpointPath = path;
   runGrid(cells, opts);
-  const auto goodSize = std::filesystem::file_size(path);
+  std::uintmax_t segSize = 0;
+  for (const auto& e : std::filesystem::directory_iterator(path))
+    segSize = std::max(segSize, e.file_size());
 
-  // One more cell on top of the two recorded ones: the rewrite grows past
-  // the limit, so it cannot complete.
+  // One more cell on top of the two recorded ones: its segment cannot be
+  // written under the limit.
   std::vector<VerifyRequest> more = cells;
   more.push_back(makeGridRequests(std::vector<unsigned>{4},
                                   std::vector<unsigned>{1})[0]);
   opts.resume = true;  // jobs 1, cellJobs 1: the forked child stays
                        // single-threaded
-  ASSERT_TRUE(test::runWithFileSizeLimit(goodSize / 2,
+  ASSERT_TRUE(test::runWithFileSizeLimit(segSize / 2,
                                          [&] { runGrid(more, opts); }));
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  for (const auto& e : std::filesystem::directory_iterator(path))
+    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+  EXPECT_EQ(storeRecords(path).size(), cells.size());
 
   const auto resumed = runGrid(cells, opts);
   ASSERT_EQ(resumed.size(), cells.size());
@@ -374,7 +468,7 @@ TEST(Grid, FailedCheckpointSaveKeepsPreviousFile) {
     EXPECT_TRUE(resumed[i].restored) << "cell " << i;
     EXPECT_EQ(resumed[i].report.verdict(), Verdict::Correct);
   }
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(path);
 }
 
 TEST(Grid, ResumeWithMissingCheckpointIsFreshRun) {
@@ -388,8 +482,8 @@ TEST(Grid, ResumeWithMissingCheckpointIsFreshRun) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].restored);
   EXPECT_EQ(results[0].report.verdict(), Verdict::Correct);
-  EXPECT_TRUE(std::filesystem::exists(path));  // fresh records were written
-  std::filesystem::remove(path);
+  EXPECT_EQ(storeRecords(path).size(), 1u);  // fresh records were written
+  std::filesystem::remove_all(path);
 }
 
 TEST(Grid, EmptyGridIsFine) {

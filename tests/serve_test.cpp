@@ -2,7 +2,8 @@
 // VerifyRequest/VerifyResponse JSON round trip (strict parsing — unknown
 // fields, bad versions and unknown enum names are rejected), the
 // content-addressed ResultCache (hit/owner/joined, coalescing, LRU, the
-// uncacheable-Timeout policy), the in-process VerifyServer (caching,
+// uncacheable-Timeout policy), the persistent cache journal on the shared
+// core::ResultStore, the in-process VerifyServer (caching,
 // coalescing under concurrency, budget verdicts and their exit codes,
 // malformed-line handling, control ops) and the socket client against a
 // live server — cached answers must be identical to a fresh in-process
@@ -23,12 +24,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/grid_runner.hpp"
 #include "core/request.hpp"
+#include "core/result_store.hpp"
 #include "file_size_limit.hpp"
 #include "sat/memo.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
-#include "serve/journal.hpp"
 #include "serve/server.hpp"
 #include "serve/supervisor.hpp"
 #include "support/json.hpp"
@@ -633,7 +635,7 @@ TEST(ServeMemo, VerifyWithMemoMatchesFreshVerify) {
   EXPECT_EQ(core::reportCounters(second), core::reportCounters(plain));
 }
 
-// ---- persistent cache journal -----------------------------------------------
+// ---- persistent cache journal (core::ResultStore) ---------------------------
 
 core::VerifyResponse cacheableResponse(std::uint64_t id,
                                        std::uint64_t counterValue) {
@@ -646,18 +648,18 @@ core::VerifyResponse cacheableResponse(std::uint64_t id,
 }
 
 TEST(ServeJournal, RoundTripAcrossRestart) {
-  serve::CacheJournal::Options jo;
+  core::ResultStore::Options jo;
   jo.dir = freshDir("journal_rt");
   {
-    serve::CacheJournal j(jo);
+    core::ResultStore j(jo);
     j.append(10, cacheableResponse(1, 4));
     j.append(20, cacheableResponse(2, 8));
     EXPECT_EQ(j.segmentCount(), 2u);
   }
 
   // "Restart": a fresh instance replays the directory.
-  serve::CacheJournal j2(jo);
-  serve::CacheJournal::LoadStats ls;
+  core::ResultStore j2(jo);
+  core::ResultStore::LoadStats ls;
   const auto entries = j2.load(&ls);
   EXPECT_EQ(ls.segments, 2u);
   EXPECT_EQ(ls.skippedSegments, 0u);
@@ -669,7 +671,7 @@ TEST(ServeJournal, RoundTripAcrossRestart) {
 
   // Later segments win on duplicate keys.
   j2.append(10, cacheableResponse(3, 99));
-  serve::CacheJournal j3(jo);
+  core::ResultStore j3(jo);
   const auto again = j3.load();
   ASSERT_EQ(again.size(), 2u);
   for (const auto& [key, resp] : again) {
@@ -680,28 +682,38 @@ TEST(ServeJournal, RoundTripAcrossRestart) {
 }
 
 TEST(ServeJournal, TimeoutAndErrorNeverPersisted) {
-  serve::CacheJournal::Options jo;
+  // The store refuses error responses itself. Timeouts are the serving
+  // path's policy: the daemon never appends one (a grid run may store
+  // them; see ServePersist.GridTimeoutRecordIsNotSeeded).
+  core::ResultStore::Options jo;
   jo.dir = freshDir("journal_policy");
-  serve::CacheJournal j(jo);
+  {
+    core::ResultStore j(jo);
+    EXPECT_FALSE(j.append(2, core::VerifyResponse::makeError(2, "boom")));
+    EXPECT_EQ(j.segmentCount(), 0u);
+  }
+  {
+    serve::ServerOptions opts;
+    opts.cacheDir = jo.dir;
+    serve::VerifyServer server(opts);
+    core::VerifyRequest timeout = smallRequest();
+    timeout.strategy = core::Strategy::PositiveEqualityOnly;
+    timeout.timeoutSeconds = 1e-9;
+    EXPECT_EQ(handle(server, timeout).verdict, core::Verdict::Timeout);
+    server.stop();
+  }
 
-  core::VerifyResponse timeout = cacheableResponse(1, 1);
-  timeout.verdict = core::Verdict::Timeout;
-  timeout.exitCode = 4;
-  j.append(1, timeout);
-  j.append(2, core::VerifyResponse::makeError(2, "boom"));
-  EXPECT_EQ(j.segmentCount(), 0u);
-
-  serve::CacheJournal j2(jo);
-  serve::CacheJournal::LoadStats ls;
+  core::ResultStore j2(jo);
+  core::ResultStore::LoadStats ls;
   EXPECT_TRUE(j2.load(&ls).empty());
   EXPECT_EQ(ls.segments, 0u);
 }
 
 TEST(ServeJournal, CorruptSegmentsDegradeToCold) {
-  serve::CacheJournal::Options jo;
+  core::ResultStore::Options jo;
   jo.dir = freshDir("journal_corrupt");
   {
-    serve::CacheJournal j(jo);
+    core::ResultStore j(jo);
     j.append(10, cacheableResponse(1, 4));
     j.append(20, cacheableResponse(2, 8));
   }
@@ -715,8 +727,8 @@ TEST(ServeJournal, CorruptSegmentsDegradeToCold) {
            "\"entries\": [{\"key\": \"000000000000002a\", \"response\": "
         << cacheableResponse(9, 1).toJson() << "}]}"; }
 
-  serve::CacheJournal j2(jo);
-  serve::CacheJournal::LoadStats ls;
+  core::ResultStore j2(jo);
+  core::ResultStore::LoadStats ls;
   const auto entries = j2.load(&ls);
   EXPECT_EQ(ls.segments, 3u);
   EXPECT_EQ(ls.skippedSegments, 2u);  // torn + stale-binary, never an error
@@ -725,17 +737,17 @@ TEST(ServeJournal, CorruptSegmentsDegradeToCold) {
 }
 
 TEST(ServeJournal, CompactionFoldsSegments) {
-  serve::CacheJournal::Options jo;
+  core::ResultStore::Options jo;
   jo.dir = freshDir("journal_compact");
   jo.compactThreshold = 2;
-  serve::CacheJournal j(jo);
+  core::ResultStore j(jo);
   for (std::uint64_t key = 1; key <= 4; ++key)
     j.append(key, cacheableResponse(key, key * 10));
   // Appends beyond the threshold fold every live entry into one segment.
   EXPECT_LE(j.segmentCount(), 2u);
 
-  serve::CacheJournal j2(jo);
-  serve::CacheJournal::LoadStats ls;
+  core::ResultStore j2(jo);
+  core::ResultStore::LoadStats ls;
   const auto entries = j2.load(&ls);
   EXPECT_EQ(ls.skippedSegments, 0u);
   ASSERT_EQ(entries.size(), 4u);
@@ -748,11 +760,11 @@ TEST(ServeJournal, FailedCompactionKeepsSegments) {
   // A compaction fold that fails part-way (a file-size limit, as on a full
   // disk) must not be renamed into place, and the segments it would have
   // replaced must stay: a restart still restores every entry.
-  serve::CacheJournal::Options jo;
+  core::ResultStore::Options jo;
   jo.dir = freshDir("journal_failed_fold");
   jo.compactThreshold = 4;
   {
-    serve::CacheJournal j(jo);
+    core::ResultStore j(jo);
     for (std::uint64_t key = 1; key <= 4; ++key)
       j.append(key, cacheableResponse(key, key * 10));
     ASSERT_EQ(j.segmentCount(), 4u);
@@ -764,13 +776,13 @@ TEST(ServeJournal, FailedCompactionKeepsSegments) {
   // The fifth append fits on its own, then crosses the threshold; the fold
   // of all five entries does not fit.
   ASSERT_TRUE(test::runWithFileSizeLimit(2 * segSize, [&] {
-    serve::CacheJournal j(jo);
+    core::ResultStore j(jo);
     j.load();
     j.append(5, cacheableResponse(5, 50));
   }));
 
-  serve::CacheJournal j2(jo);
-  serve::CacheJournal::LoadStats ls;
+  core::ResultStore j2(jo);
+  core::ResultStore::LoadStats ls;
   const auto entries = j2.load(&ls);
   EXPECT_EQ(ls.skippedSegments, 0u);
   ASSERT_EQ(entries.size(), 5u);
@@ -836,6 +848,36 @@ TEST(ServePersist, WarmRestartServesFromJournal) {
   // runs fresh.
   timeout.id = 3;
   EXPECT_FALSE(handle(b, timeout).cached);
+}
+
+TEST(ServePersist, GridTimeoutRecordIsNotSeeded) {
+  // One store, two policies: a grid run keeps the timeout verdicts it
+  // finished (resume restores them), but serving never replays one.
+  const std::string dir = freshDir("grid_timeout");
+  core::VerifyRequest timeout = smallRequest();
+  timeout.strategy = core::Strategy::PositiveEqualityOnly;
+  timeout.timeoutSeconds = 1e-9;
+  const std::vector<core::VerifyRequest> cells = {timeout};
+  core::GridRunOptions gopts;
+  gopts.checkpointPath = dir;
+  ASSERT_EQ(core::runGrid(cells, gopts)[0].report.verdict(),
+            core::Verdict::Timeout);
+  gopts.resume = true;
+  const auto resumed = core::runGrid(cells, gopts);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_TRUE(resumed[0].restored);
+  EXPECT_EQ(resumed[0].report.verdict(), core::Verdict::Timeout);
+
+  serve::ServerOptions opts;
+  opts.cacheDir = dir;
+  serve::VerifyServer server(opts);
+  EXPECT_EQ(server.collector().counter("serve.journal.restored"), 0u);
+  EXPECT_EQ(server.collector().counter("serve.journal.skipped_entries"), 1u);
+  EXPECT_EQ(server.cacheStats().entries, 0u);
+  const core::VerifyResponse resp = handle(server, timeout);
+  EXPECT_EQ(resp.verdict, core::Verdict::Timeout);
+  EXPECT_FALSE(resp.cached);
+  server.stop();
 }
 
 // ---- worker pool: fault injection -------------------------------------------

@@ -28,8 +28,9 @@
 //   --batch           batching lane: group compatible queued requests
 //                     (same cell modulo ROB size) per worker dispatch
 //   --cache N         result-cache capacity in entries (default 1024)
-//   --cache-dir PATH  persist the result cache as a segment journal in
-//                     PATH and restore it on startup (default: memory-only)
+//   --cache-dir PATH  persist the result cache in the result store at PATH
+//                     (the segment format grid checkpoints use) and
+//                     restore it on startup (default: memory-only)
 //   --max-timeout S   admission cap: clamp every request's wall-clock
 //                     budget to at most S seconds (default: uncapped)
 //   --max-mem MB      admission cap: clamp every request's memory budget

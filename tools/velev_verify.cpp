@@ -25,12 +25,12 @@
 //                     identical to --cell-jobs 1 — this only buys wall
 //                     clock on big-N cells (docs/SCALING.md). Applies to
 //                     single mode and grid mode alike; orthogonal to --jobs
-//   --checkpoint FILE grid mode: after every finished cell, atomically
-//                     rewrite FILE with one record per completed cell
-//                     (schema: docs/SCALING.md), so a killed sweep loses at
-//                     most the cells in flight
+//   --checkpoint DIR  grid mode: after every finished cell, append its
+//                     record as one atomic segment to the result store in
+//                     DIR (schema: docs/SCALING.md), so a killed sweep
+//                     loses at most the cells in flight
 //   --resume          grid mode, with --checkpoint: restore the cells whose
-//                     records are already in FILE instead of re-verifying
+//                     records are already in DIR instead of re-verifying
 //                     them; only unfinished cells run
 //   --strategy S      rewrite (default) | pe
 //   --engine E        sat (default) | bdd | both. `bdd` evaluates the
@@ -561,7 +561,7 @@ int main(int argc, char** argv) {
     usage("--checkpoint applies to grid mode only (a single run has no "
           "cells to record)");
   if (resume && !checkpointPath)
-    usage("--resume needs --checkpoint FILE (the file to restore from)");
+    usage("--resume needs --checkpoint DIR (the store to restore from)");
 
   // The one serializable request the whole flag set folds into; grid mode
   // stamps sizes × widths onto copies of it, --connect ships it as-is.
