@@ -1,10 +1,8 @@
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "support/budget.hpp"
-#include "support/trace.hpp"
 
 namespace velev::bdd {
 
@@ -21,8 +19,6 @@ BddManager::BddManager() {
 
 unsigned BddManager::mkVar() {
   const unsigned v = numVars();
-  var2level_.push_back(v);
-  level2var_.push_back(v);
   subtables_.emplace_back();
   subtables_.back().buckets.assign(4, kNil);
   return v;
@@ -37,13 +33,6 @@ BddRef BddManager::varRef(unsigned v) {
 
 std::uint32_t BddManager::allocNode() {
   budgetCheckpoint();
-  // Mid-operation growth escape hatch: the between-operations trigger
-  // (maybeReorder) cannot act while an ITE is recursing, so once the table
-  // outgrows the abort limit the operation is aborted for a reorder and
-  // retried by the caller. Suppressed during swaps — sift() itself interns
-  // the rewritten cofactors through here.
-  if (reorderThreshold_ != 0 && !inSwap_ && liveNodes_ >= abortLimit_)
-    throw ReorderRequest{};
   std::uint32_t n;
   if (freeHead_ != kNil) {
     n = freeHead_;
@@ -54,7 +43,6 @@ std::uint32_t BddManager::allocNode() {
   }
   ++liveNodes_;
   stats_.nodesPeak = std::max<std::uint64_t>(stats_.nodesPeak, liveNodes_);
-  if (!siftRef_.empty() && n >= siftRef_.size()) siftRef_.resize(n + 1, 0);
   return n;
 }
 
@@ -103,18 +91,14 @@ BddRef BddManager::mkNode(unsigned var, BddRef lo, BddRef hi) {
 
 // ---- ITE --------------------------------------------------------------------
 
-BddRef BddManager::cofactor(BddRef f, unsigned level, bool value) const {
+BddRef BddManager::cofactor(BddRef f, unsigned v, bool value) const {
   const Node& n = nodes_[nodeOf(f)];
-  if (n.var == kTerminalVar || var2level_[n.var] != level) return f;
+  if (n.var != v) return f;
   const BddRef child = value ? n.hi : n.lo;
   return isComplement(f) ? negate(child) : child;
 }
 
 BddRef BddManager::ite(BddRef f, BddRef g, BddRef h) {
-  return iteRec(f, g, h);
-}
-
-BddRef BddManager::iteRec(BddRef f, BddRef g, BddRef h) {
   // Terminal cases.
   if (f == kTrue) return g;
   if (f == kFalse) return h;
@@ -153,14 +137,13 @@ BddRef BddManager::iteRec(BddRef f, BddRef g, BddRef h) {
     }
   }
 
-  const unsigned level =
-      std::min({topLevel(f), topLevel(g), topLevel(h)});
-  VELEV_CHECK(level != kNoLevel);
-  const BddRef r0 = iteRec(cofactor(f, level, false), cofactor(g, level, false),
-                           cofactor(h, level, false));
-  const BddRef r1 = iteRec(cofactor(f, level, true), cofactor(g, level, true),
-                           cofactor(h, level, true));
-  const BddRef r = mkNode(level2var_[level], r0, r1);
+  const unsigned v = std::min({topVar(f), topVar(g), topVar(h)});
+  VELEV_CHECK(v != kTerminalVar);
+  const BddRef r0 = ite(cofactor(f, v, false), cofactor(g, v, false),
+                        cofactor(h, v, false));
+  const BddRef r1 = ite(cofactor(f, v, true), cofactor(g, v, true),
+                        cofactor(h, v, true));
+  const BddRef r = mkNode(v, r0, r1);
 
   cache_[slot] = CacheEntry{f, g, h, r};
   return complementResult ? negate(r) : r;
@@ -276,222 +259,6 @@ std::size_t BddManager::gc(std::span<const BddRef> extraRoots) {
   return freed;
 }
 
-// ---- sifting ----------------------------------------------------------------
-
-void BddManager::swapLevels(unsigned level) {
-  const unsigned u = level2var_[level];      // upper variable, moving down
-  const unsigned v = level2var_[level + 1];  // lower variable, moving up
-  ++stats_.swaps;
-
-  // Collect the u-nodes first: rewriting interns new u-nodes into the same
-  // subtable, and the rewritten ones move to v's.
-  std::vector<std::uint32_t> uNodes;
-  uNodes.reserve(subtables_[u].count);
-  for (const std::uint32_t head : subtables_[u].buckets)
-    for (std::uint32_t n = head; n != kNil; n = nodes_[n].next)
-      uNodes.push_back(n);
-
-  const bool wasInSwap = inSwap_;
-  inSwap_ = true;
-  for (const std::uint32_t n : uNodes) {
-    const BddRef f0 = nodes_[n].lo, f1 = nodes_[n].hi;
-    const bool loDepends =
-        nodes_[nodeOf(f0)].var == v;
-    const bool hiDepends = nodes_[nodeOf(f1)].var == v;
-    if (!loDepends && !hiDepends) continue;  // independent of v: unchanged
-
-    // Cofactors of the children with respect to v (level + 1).
-    auto cof = [&](BddRef f, bool val) -> BddRef {
-      const Node& c = nodes_[nodeOf(f)];
-      if (c.var != v) return f;
-      const BddRef child = val ? c.hi : c.lo;
-      return isComplement(f) ? negate(child) : child;
-    };
-
-    // Unlink n from u's subtable before interning the replacement children
-    // (they may collide with n's old (lo, hi) shape otherwise only by
-    // accident of hashing — unlinking first keeps the walk simple).
-    SubTable& ut = subtables_[u];
-    const std::size_t b = hashPair(f0, f1) & (ut.buckets.size() - 1);
-    std::uint32_t* link = &ut.buckets[b];
-    while (*link != n) link = &nodes_[*link].next;
-    *link = nodes_[n].next;
-    --ut.count;
-    --liveNodes_;  // allocNode()-style accounting: n is re-linked below
-
-    // f == (v ? (u ? f1|v=1 : f0|v=1) : (u ? f1|v=0 : f0|v=0)).
-    const BddRef g0 = mkNode(u, cof(f0, false), cof(f1, false));
-    const BddRef g1 = mkNode(u, cof(f0, true), cof(f1, true));
-    // g1 is f|v=1 of a regular node: it evaluates to 1 at the all-ones
-    // point, so its canonical ref is regular — the in-place rewrite never
-    // needs to flip a parent's stored edge.
-    VELEV_CHECK(!isComplement(g1));
-
-    SubTable& vt = subtables_[v];
-    const std::size_t vb = hashPair(g0, g1) & (vt.buckets.size() - 1);
-    nodes_[n] = Node{v, g0, g1, vt.buckets[vb]};
-    vt.buckets[vb] = n;
-    ++vt.count;
-    ++liveNodes_;
-    if (vt.count >= vt.buckets.size() - vt.buckets.size() / 4)
-      growBuckets(vt);
-
-    // Keep the sift-time parent counts exact: n now references the
-    // rewritten cofactors instead of its old children (incRef first, so a
-    // shared node never transiently dies and resurrects).
-    if (!siftRef_.empty()) {
-      siftIncRef(nodeOf(g0));
-      siftIncRef(nodeOf(g1));
-      siftDecRef(nodeOf(f0));
-      siftDecRef(nodeOf(f1));
-    }
-  }
-  inSwap_ = wasInSwap;
-
-  std::swap(level2var_[level], level2var_[level + 1]);
-  var2level_[u] = level + 1;
-  var2level_[v] = level;
-}
-
-void BddManager::moveVarToLevel(unsigned v, unsigned target) {
-  while (var2level_[v] < target) swapLevels(var2level_[v]);
-  while (var2level_[v] > target) swapLevels(var2level_[v] - 1);
-}
-
-void BddManager::buildSiftRefs(std::span<const BddRef> extraRoots) {
-  siftRef_.assign(nodes_.size(), 0);
-  siftLive_ = liveNodes_;
-  for (const SubTable& t : subtables_)
-    for (const std::uint32_t head : t.buckets)
-      for (std::uint32_t n = head; n != kNil; n = nodes_[n].next) {
-        ++siftRef_[nodeOf(nodes_[n].lo)];
-        ++siftRef_[nodeOf(nodes_[n].hi)];
-      }
-  for (const auto& [node, count] : protected_) siftRef_[node] += count;
-  for (const BddRef r : extraRoots) ++siftRef_[nodeOf(r)];
-}
-
-void BddManager::siftIncRef(std::uint32_t n) {
-  if (n == 0) return;  // the terminal is permanent
-  if (siftRef_[n]++ == 0) {
-    // Resurrection (an orphan re-found by intern) or a freshly interned
-    // node — either way it re-enters the reachable set, children included.
-    ++siftLive_;
-    siftIncRef(nodeOf(nodes_[n].lo));
-    siftIncRef(nodeOf(nodes_[n].hi));
-  }
-}
-
-void BddManager::siftDecRef(std::uint32_t n) {
-  if (n == 0) return;
-  if (--siftRef_[n] == 0) {
-    --siftLive_;
-    siftDecRef(nodeOf(nodes_[n].lo));
-    siftDecRef(nodeOf(nodes_[n].hi));
-  }
-}
-
-void BddManager::sift(std::span<const BddRef> extraRoots) {
-  TRACE_SPAN("bdd.reorder");
-  ++stats_.reorderings;
-
-  // Start from a clean table, then track the *exact* reachable-node count
-  // through every swap with transient parent counts (buildSiftRefs): swaps
-  // orphan the rewritten nodes' old children, which stay in the table until
-  // gc, so any allocated-minus-freed counter drifts upward with garbage and
-  // would bias every journey toward wherever the variable started.
-  gc(extraRoots);
-
-  // Largest subtables first — the classic sifting schedule. Only the
-  // biggest ones are worth a journey: each journey costs two traversals of
-  // the whole order, and the small subtables at the tail cannot move the
-  // total either way (CUDD bounds its passes the same way).
-  std::vector<unsigned> order(numVars());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
-    return subtables_[a].count > subtables_[b].count ||
-           (subtables_[a].count == subtables_[b].count && a < b);
-  });
-  constexpr std::size_t kMaxJourneys = 48;
-  if (order.size() > kMaxJourneys) order.resize(kMaxJourneys);
-
-  buildSiftRefs(extraRoots);
-  const std::uint64_t globalStart = siftLive_;
-  const unsigned maxLevel = numVars() - 1;
-  try {
-    for (const unsigned v : order) {
-      if (subtables_[v].count == 0) continue;
-      // The parent counts make the metric immune to garbage, but the arena
-      // still fills with orphans; reclaim them once they dominate (freed
-      // nodes carry a zero count, so the refs stay valid across a gc).
-      if (liveNodes_ >= 2 * siftLive_) gc(extraRoots);
-      // Give up on the pass entirely if the table doubled for real: a
-      // sifting schedule that grows the BDD is not worth finishing.
-      if (siftLive_ > 2 * globalStart) break;
-      const std::uint64_t startSize = siftLive_;
-      std::uint64_t bestSize = startSize;
-      unsigned bestLevel = var2level_[v];
-
-      // Down to the bottom, then up to the top, tracking the best position;
-      // abort a direction when the live size doubles.
-      while (var2level_[v] < maxLevel) {
-        swapLevels(var2level_[v]);
-        if (siftLive_ < bestSize) {
-          bestSize = siftLive_;
-          bestLevel = var2level_[v];
-        }
-        if (siftLive_ > 2 * startSize) break;
-        if (budget_ != nullptr)
-          budget_->checkpoint(budgetSource_, memoryBytes());
-      }
-      while (var2level_[v] > 0) {
-        swapLevels(var2level_[v] - 1);
-        if (siftLive_ < bestSize) {
-          bestSize = siftLive_;
-          bestLevel = var2level_[v];
-        }
-        if (siftLive_ > 2 * startSize) break;
-        if (budget_ != nullptr)
-          budget_->checkpoint(budgetSource_, memoryBytes());
-      }
-      moveVarToLevel(v, bestLevel);
-    }
-  } catch (...) {
-    siftRef_.clear();  // a BudgetExceeded unwind must not leave refs armed
-    throw;
-  }
-  siftRef_.clear();
-}
-
-void BddManager::maybeReorder(std::span<const BddRef> extraRoots) {
-  if (!reorderPending()) return;
-  gc(extraRoots);
-  // Sift only when the *live* structure outgrew the threshold — a table
-  // full of garbage says nothing about the order. Gc-only rescues leave
-  // the threshold alone; after a sift it re-arms at twice the sifted size
-  // (saturating well below the uint32 ref space).
-  if (liveNodes_ >= reorderThreshold_) {
-    sift(extraRoots);
-    gc(extraRoots);  // reclaim the nodes orphaned by the swaps
-    reorderThreshold_ = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(1u << 31,
-                                std::max<std::uint64_t>(
-                                    reorderThreshold_,
-                                    std::uint64_t{liveNodes_} * 2)));
-    abortLimit_ = std::max(abortLimit_, std::uint64_t{reorderThreshold_} * 4);
-  }
-}
-
-void BddManager::reorderAfterAbort(std::span<const BddRef> extraRoots) {
-  gc(extraRoots);
-  sift(extraRoots);
-  gc(extraRoots);
-  // The retried operation must be allowed to grow past where it aborted,
-  // or it would unwind forever: double the limit (and keep headroom over
-  // the surviving structure).
-  abortLimit_ = std::max(abortLimit_ * 2, std::uint64_t{liveNodes_} * 4);
-}
-
 // ---- resources --------------------------------------------------------------
 
 void BddManager::setBudget(BudgetGovernor* governor) {
@@ -509,10 +276,7 @@ std::size_t BddManager::memoryBytes() const {
 }
 
 void BddManager::budgetCheckpoint() {
-  // Swaps rewrite nodes in place across two subtables; unwinding there
-  // would leave the level maps out of step, so sift() checkpoints between
-  // swaps instead.
-  if (budget_ == nullptr || inSwap_) return;
+  if (budget_ == nullptr) return;
   if ((++budgetTick_ & 0xffu) != 0) return;
   budget_->checkpoint(budgetSource_, memoryBytes());
 }
@@ -523,7 +287,6 @@ bool BddManager::checkInvariants() const {
   VELEV_CHECK(nodes_[0].var == kTerminalVar);
   std::uint32_t live = 1;
   for (unsigned v = 0; v < numVars(); ++v) {
-    VELEV_CHECK(level2var_[var2level_[v]] == v);
     const SubTable& t = subtables_[v];
     std::uint32_t count = 0;
     for (const std::uint32_t head : t.buckets) {
@@ -532,10 +295,8 @@ bool BddManager::checkInvariants() const {
         VELEV_CHECK_MSG(node.var == v, "node in the wrong subtable");
         VELEV_CHECK_MSG(!isComplement(node.hi), "complemented hi edge");
         VELEV_CHECK_MSG(node.lo != node.hi, "unreduced node");
-        VELEV_CHECK_MSG(topLevel(node.lo) > var2level_[v],
-                        "lo child not strictly below");
-        VELEV_CHECK_MSG(topLevel(node.hi) > var2level_[v],
-                        "hi child not strictly below");
+        VELEV_CHECK_MSG(topVar(node.lo) > v, "lo child not strictly below");
+        VELEV_CHECK_MSG(topVar(node.hi) > v, "hi child not strictly below");
         // Uniqueness: the first bucket entry with this shape must be n.
         const std::size_t b =
             hashPair(node.lo, node.hi) & (t.buckets.size() - 1);

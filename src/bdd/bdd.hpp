@@ -15,21 +15,15 @@
 //     node 0 is FALSE);
 //   * only the else (lo) edge of a node may be complemented; the then (hi)
 //     edge is always regular. Consequence: every regular ref evaluates to 1
-//     under the all-ones assignment, which is also why the in-place level
-//     swap used by sifting never needs to flip a stored hi edge.
+//     under the all-ones assignment.
 //
 // Facilities: per-variable unique subtables (canonicity), ITE with a lossy
-// computed-table cache, protect()/unprotect() roots with mark-and-sweep
-// garbage collection, and sifting-based dynamic variable reordering behind
-// a var<->level indirection. Reordering rewrites nodes in place, so
-// outstanding BddRefs (and memo tables keyed by them) stay valid across a
-// sift — but mkNode() arguments must be built against the *current* order,
-// so automatic reordering only triggers at caller-declared safe points
-// (maybeReorder()), never in the middle of an ITE. A single ITE can still
-// explode between safe points, so node allocation additionally throws
-// ReorderRequest once growth crosses 4x the reorder threshold: callers
-// unwind to their safe point (the partial result is unreferenced garbage),
-// run maybeReorder() and retry the operation against the sifted order.
+// computed-table cache, and protect()/unprotect() roots with mark-and-sweep
+// garbage collection. The variable order is fixed: a variable's level is
+// its index, so callers choose the order by the sequence of mkVar() calls.
+// GC never runs inside an ITE — callers run it at their own safe points
+// (between operations) once gcPending() says the table has doubled since
+// the last sweep.
 //
 // Resource governance mirrors prop::PropCtx: attach a BudgetGovernor and
 // node allocation checkpoints the package's logical bytes on a stride —
@@ -62,22 +56,11 @@ constexpr BddRef negate(BddRef r) { return r ^ 1u; }
 constexpr std::uint32_t nodeOf(BddRef r) { return r >> 1; }
 constexpr bool isComplement(BddRef r) { return (r & 1u) != 0; }
 
-/// Thrown by node allocation when an operation in flight has grown the
-/// table past the abort limit (armed at 4x the reorder threshold) — i.e.
-/// past the point where the between-operations trigger could have acted.
-/// The partial result is garbage (reclaimed by the next gc()); catch at a
-/// safe point, call reorderAfterAbort() and retry. The limit doubles per
-/// abort, so retries of an irreducibly large operation make progress until
-/// the resource budget trips. Never thrown when reordering is off.
-struct ReorderRequest {};
-
-/// Lifetime statistics of one manager (monotone; survive GC and reorder).
+/// Lifetime statistics of one manager (monotone; survive GC).
 struct BddStats {
   std::uint64_t nodesPeak = 0;     // high-water mark of live node count
   std::uint64_t cacheLookups = 0;  // computed-table probes
   std::uint64_t cacheHits = 0;
-  std::uint64_t reorderings = 0;   // completed sift passes
-  std::uint64_t swaps = 0;         // adjacent-level swaps
   std::uint64_t gcRuns = 0;
   std::uint64_t nodesFreed = 0;    // nodes reclaimed across all GC runs
 };
@@ -88,15 +71,13 @@ class BddManager {
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
 
-  // ---- variables and the order ---------------------------------------------
-  /// Allocate a fresh variable, appended at the bottom of the current
-  /// order. Returns its index (dense, 0-based, stable across reorders).
+  // ---- variables -----------------------------------------------------------
+  /// Allocate a fresh variable, appended at the bottom of the order.
+  /// Returns its index (dense, 0-based), which is also its level.
   unsigned mkVar();
-  unsigned numVars() const { return static_cast<unsigned>(var2level_.size()); }
+  unsigned numVars() const { return static_cast<unsigned>(subtables_.size()); }
   /// Projection function of variable v.
   BddRef varRef(unsigned v);
-  unsigned levelOf(unsigned v) const { return var2level_[v]; }
-  unsigned varAtLevel(unsigned level) const { return level2var_[level]; }
 
   // ---- construction --------------------------------------------------------
   BddRef ite(BddRef f, BddRef g, BddRef h);
@@ -127,41 +108,18 @@ class BddManager {
   /// Mark-and-sweep from the protected roots plus `extraRoots` (a caller's
   /// transient memo table, cheaper than protecting every entry); returns
   /// nodes freed. The computed cache is cleared (it may reference swept
-  /// nodes).
+  /// nodes). Every ref the caller still holds must be protected or listed
+  /// in extraRoots.
   std::size_t gc(std::span<const BddRef> extraRoots = {});
-
-  // ---- dynamic variable reordering -----------------------------------------
-  /// One sifting pass: every variable is moved through the whole order by
-  /// adjacent-level swaps and parked at its best position (size growth
-  /// while travelling is capped at 2x per variable, and the pass bails out
-  /// if the whole table doubles). Outstanding refs stay valid — nodes are
-  /// rewritten in place — but callers must not be mid-ITE, and because the
-  /// pass runs gc() once swap garbage dominates, every ref that must
-  /// survive has to be protected or listed in extraRoots.
-  void sift(std::span<const BddRef> extraRoots = {});
-  /// Arm automatic reordering (0 disables; the default). The threshold is
-  /// the *live-after-gc* size that triggers a sift; garbage alone only
-  /// triggers gc (paced so at least half the table is dead), never a sift,
-  /// and never moves the threshold. After a sift the threshold re-arms at
-  /// twice the sifted size, so it tracks genuine growth instead of
-  /// ratcheting on garbage. A non-zero threshold also arms the
-  /// mid-operation ReorderRequest abort (see reorderAfterAbort()).
-  void setReorderThreshold(std::uint32_t liveNodes) {
-    reorderThreshold_ = liveNodes;
-    lastGcLive_ = liveNodes_;
-    abortLimit_ = std::uint64_t{liveNodes} * 4;
+  /// Has the table grown enough to warrant a gc() at the caller's next safe
+  /// point? True once the node count reaches twice the live count after
+  /// the last gc (floor kGcFloor), so back-to-back gcs always have at least
+  /// half the table dead to reclaim. Callers with a transient memo table
+  /// check this before materializing the extra-roots vector.
+  bool gcPending() const {
+    return liveNodes_ >= std::max<std::uint64_t>(
+                             kGcFloor, std::uint64_t{lastGcLive_} * 2);
   }
-  /// Would maybeReorder() act right now? Callers with a transient memo
-  /// table check this before materializing the extra-roots vector.
-  bool reorderPending() const {
-    return reorderThreshold_ != 0 && liveNodes_ >= gcTrigger();
-  }
-  void maybeReorder(std::span<const BddRef> extraRoots = {});
-  /// Recovery path for a ReorderRequest unwind: unconditionally gc + sift
-  /// + gc (the abort itself is the evidence that the current order is bad
-  /// for the operation in flight, however small the live structure), and
-  /// ratchet the abort limit so the retried operation gets room to finish.
-  void reorderAfterAbort(std::span<const BddRef> extraRoots = {});
 
   // ---- resource governance -------------------------------------------------
   /// Attach (or with nullptr, detach) a governor; node allocation then
@@ -187,6 +145,7 @@ class BddManager {
   static constexpr std::uint32_t kNil = 0xffffffffu;
   static constexpr std::uint32_t kTerminalVar = 0xffffffffu;
   static constexpr std::uint32_t kFreeVar = 0xfffffffeu;
+  static constexpr std::uint32_t kGcFloor = 1u << 14;  // see gcPending()
 
   struct Node {
     std::uint32_t var = kTerminalVar;
@@ -205,12 +164,9 @@ class BddManager {
     BddRef f = kNil, g = kNil, h = kNil, result = kNil;
   };
 
-  /// Level of the top variable of r (terminals live below every level).
-  unsigned topLevel(BddRef r) const {
-    const std::uint32_t v = nodes_[nodeOf(r)].var;
-    return v == kTerminalVar ? kNoLevel : var2level_[v];
-  }
-  static constexpr unsigned kNoLevel = 0x7fffffffu;
+  /// Top variable of r. The terminal carries kTerminalVar, larger than any
+  /// variable index, so it sits below every level.
+  unsigned topVar(BddRef r) const { return nodes_[nodeOf(r)].var; }
 
   /// Reduced, canonical (var, lo, hi) node — handles the lo == hi collapse
   /// and pushes a complemented hi edge onto the result ref.
@@ -227,57 +183,22 @@ class BddManager {
     return static_cast<std::size_t>(x);
   }
 
-  BddRef iteRec(BddRef f, BddRef g, BddRef h);
-  /// Cofactor of f with respect to the variable at level `level`.
-  BddRef cofactor(BddRef f, unsigned level, bool value) const;
-
-  /// Swap the variables at levels `level` and `level + 1` by rewriting the
-  /// affected upper-level nodes in place. Returns nothing; liveNodes_ grows
-  /// by the nodes interned for the rewritten cofactors (dead lower nodes
-  /// are reclaimed by the next gc()).
-  void swapLevels(unsigned level);
-  /// Move variable v from its current level to `target` by adjacent swaps.
-  void moveVarToLevel(unsigned v, unsigned target);
+  /// Cofactor of f with respect to variable v.
+  BddRef cofactor(BddRef f, unsigned v, bool value) const;
 
   void markCone(BddRef r, std::vector<std::uint8_t>& marks) const;
   void clearCache();
   void maybeGrowCache();
   void budgetCheckpoint();
 
-  /// Transient parent counts, alive only inside sift(): swap rewrites
-  /// maintain them so `siftLive_` is the *exact* reachable-node count at
-  /// every candidate position. Plain allocated-minus-freed counters cannot
-  /// serve as the sifting metric — swaps orphan nodes that stay in the
-  /// table until gc, which inflates the measurement past any true
-  /// improvement and blinds the hill climb.
-  void buildSiftRefs(std::span<const BddRef> extraRoots);
-  void siftIncRef(std::uint32_t n);
-  void siftDecRef(std::uint32_t n);
-
   std::vector<Node> nodes_;
   std::vector<SubTable> subtables_;     // by variable index
-  std::vector<unsigned> var2level_;
-  std::vector<unsigned> level2var_;
   std::uint32_t freeHead_ = kNil;
   std::uint32_t liveNodes_ = 1;         // the terminal
   std::vector<CacheEntry> cache_;       // direct-mapped, lossy
   std::unordered_map<std::uint32_t, std::uint32_t> protected_;  // node -> count
 
-  std::uint32_t reorderThreshold_ = 0;  // live-after-gc sift trigger; 0 = off
   std::uint32_t lastGcLive_ = 1;        // live count after the last gc
-  std::uint64_t abortLimit_ = 0;        // mid-operation ReorderRequest trigger
-  bool inSwap_ = false;                 // suppress unwinding mid-swap
-
-  std::vector<std::uint32_t> siftRef_;  // node -> parent count; sift-only
-  std::uint64_t siftLive_ = 0;          // exact reachable count while sifting
-
-  /// Total node count that warrants a gc: the sift threshold, or twice the
-  /// last post-gc live count — whichever is larger, so back-to-back gcs
-  /// always have at least half the table dead to reclaim.
-  std::uint64_t gcTrigger() const {
-    return std::max<std::uint64_t>(reorderThreshold_,
-                                   std::uint64_t{lastGcLive_} * 2);
-  }
 
   BudgetGovernor* budget_ = nullptr;
   int budgetSource_ = -1;

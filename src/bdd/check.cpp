@@ -46,8 +46,8 @@ std::vector<std::uint32_t> coneTopo(const prop::PropCtx& pctx,
 }
 
 /// Builds BDDs bottom-up over the AIG cone with a fanout-counted memo:
-/// an entry is dropped as soon as its last consumer is built, so gc() at a
-/// reorder point reclaims everything genuinely dead.
+/// an entry is dropped as soon as its last consumer is built, so the gc()
+/// after each node reclaims everything genuinely dead.
 class ConeBuilder {
  public:
   ConeBuilder(const prop::PropCtx& pctx, BddManager& mgr)
@@ -69,37 +69,21 @@ class ConeBuilder {
         continue;
       }
       if (pctx_.isVarNode(n)) {
-        memo_[n] = withReorderRetry(
-            [&] { return mgr_.varRef(pctx_.varIndex(n)); });
+        memo_[n] = mgr_.varRef(pctx_.varIndex(n));
         continue;
       }
       const prop::PLit la = pctx_.andLeft(n), lb = pctx_.andRight(n);
-      memo_[n] = withReorderRetry(
-          [&] { return mgr_.mkAnd(litRef(la), litRef(lb)); });
+      memo_[n] = mgr_.mkAnd(litRef(la), litRef(lb));
       for (const prop::PLit child : {la, lb}) {
         const std::uint32_t c = prop::nodeOf(child);
         if (--fanout[c] == 0) memo_[c] = kUnbuilt;  // last consumer built
       }
-      if (mgr_.reorderPending()) mgr_.maybeReorder(liveRoots());
+      if (mgr_.gcPending()) mgr_.gc(liveRoots());
     }
     return litRef(root);
   }
 
  private:
-  /// Runs one BDD operation, reordering and retrying on a mid-operation
-  /// abort. The memo survives the sift (refs are stable), so only the
-  /// aborted operation's own work is redone — against the better order.
-  template <class F>
-  BddRef withReorderRetry(F&& op) {
-    for (;;) {
-      try {
-        return op();
-      } catch (const ReorderRequest&) {
-        mgr_.reorderAfterAbort(liveRoots());
-      }
-    }
-  }
-
   BddRef litRef(prop::PLit l) const {
     const BddRef r = memo_[prop::nodeOf(l)];
     VELEV_CHECK(r != kUnbuilt);
@@ -125,7 +109,6 @@ void publishCounters(const BddManager& mgr) {
   tr::counterMax("bdd.nodes_peak", s.nodesPeak);
   tr::counterSet("bdd.cache_hits", s.cacheHits);
   tr::counterSet("bdd.cache_lookups", s.cacheLookups);
-  tr::counterSet("bdd.reorderings", s.reorderings);
   tr::counterSet("bdd.gc_runs", s.gcRuns);
 }
 
@@ -133,11 +116,10 @@ void publishCounters(const BddManager& mgr) {
 
 CheckResult checkValidity(const prop::PropCtx& pctx, prop::PLit root,
                           std::span<const prop::Clause> sideClauses,
-                          const CheckOptions& opts) {
+                          BudgetGovernor* governor) {
   CheckResult res;
   BddManager mgr;
-  mgr.setBudget(opts.governor);
-  mgr.setReorderThreshold(opts.reorderThreshold);
+  mgr.setBudget(governor);
 
   const unsigned numInputs = pctx.numVars();
   for (unsigned i = 0; i < numInputs; ++i) mgr.mkVar();
@@ -223,29 +205,19 @@ CheckResult checkValidity(const prop::PropCtx& pctx, prop::PLit root,
       for (const std::size_t i : violated) {
         if (f == kFalse) break;
         conjoined[i] = 1;
-        // f is protected, so on a mid-operation abort the clause partials
-        // are the only garbage — reorder and rebuild the clause.
-        BddRef next = kFalse;
-        for (;;) {
-          try {
-            BddRef c = kFalse;
-            for (const prop::CnfLit lit : sideClauses[i]) {
-              const unsigned v = bddVarOfCnf(
-                  static_cast<std::uint32_t>(lit < 0 ? -lit : lit));
-              const BddRef litRef =
-                  lit < 0 ? negate(mgr.varRef(v)) : mgr.varRef(v);
-              c = mgr.mkOr(c, litRef);
-            }
-            next = mgr.mkAnd(f, c);
-            break;
-          } catch (const ReorderRequest&) {
-            mgr.reorderAfterAbort();
-          }
+        BddRef c = kFalse;
+        for (const prop::CnfLit lit : sideClauses[i]) {
+          const unsigned v = bddVarOfCnf(
+              static_cast<std::uint32_t>(lit < 0 ? -lit : lit));
+          const BddRef litRef =
+              lit < 0 ? negate(mgr.varRef(v)) : mgr.varRef(v);
+          c = mgr.mkOr(c, litRef);
         }
+        const BddRef next = mgr.mkAnd(f, c);
         mgr.unprotect(f);
         mgr.protect(next);
         f = next;
-        if (mgr.reorderPending()) mgr.maybeReorder();
+        if (mgr.gcPending()) mgr.gc();
       }
     }
   } catch (const BudgetExceeded& e) {

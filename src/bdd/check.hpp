@@ -27,16 +27,6 @@
 
 namespace velev::bdd {
 
-struct CheckOptions {
-  /// Governor honored by BDD construction: node allocation checkpoints the
-  /// package's logical bytes (deterministic MemOut) and the time stride
-  /// (Timeout). Null = ungoverned.
-  BudgetGovernor* governor = nullptr;
-  /// Live-node count that first triggers gc + sifting (doubling after each
-  /// reorder); 0 disables dynamic reordering.
-  std::uint32_t reorderThreshold = 1u << 14;
-};
-
 enum class CheckStatus {
   Valid,        // the negated formula reduced to the false terminal
   Falsifiable,  // a satisfying path exists — `model` holds one
@@ -55,16 +45,18 @@ struct CheckResult {
   std::string reason;
   /// Final BDD size of the conjoined formula (0 when Valid).
   std::uint64_t rootNodes = 0;
-  /// Manager statistics at completion (nodes peak, cache hits, reorderings).
+  /// Manager statistics at completion (nodes peak, cache hits, gc runs).
   BddStats stats;
 };
 
 /// Decide validity of `root` over `pctx`, conjoined with `sideClauses`
 /// (CNF-variable literals; typically Translation::transitivityClauses()).
-/// Emits the bdd.build / bdd.reorder trace spans and the bdd.* counters
-/// documented in docs/TRACE_FORMAT.md.
+/// `governor` (null = ungoverned) is honored by BDD construction: node
+/// allocation checkpoints the package's logical bytes (deterministic
+/// MemOut) and the time stride (Timeout). Emits the bdd.build trace span
+/// and the bdd.* counters documented in docs/TRACE_FORMAT.md.
 CheckResult checkValidity(const prop::PropCtx& pctx, prop::PLit root,
                           std::span<const prop::Clause> sideClauses,
-                          const CheckOptions& opts = {});
+                          BudgetGovernor* governor = nullptr);
 
 }  // namespace velev::bdd

@@ -345,7 +345,6 @@ VerifyReport reportFromResponse(const VerifyResponse& resp, Engine engine) {
     bs.nodesPeak = u64("bdd.nodes_peak");
     bs.cacheHits = u64("bdd.cache_hits");
     bs.cacheLookups = u64("bdd.cache_lookups");
-    bs.reorderings = u64("bdd.reorderings");
     bs.gcRuns = u64("bdd.gc_runs");
   }
   return rep;

@@ -55,21 +55,6 @@ Verdict budgetVerdict(BudgetKind kind) {
   return kind == BudgetKind::Memory ? Verdict::MemOut : Verdict::Timeout;
 }
 
-/// Scoped attachment of the run's governor to the shared context: restores
-/// whatever was attached before even when a stage throws.
-class ScopedContextBudget {
- public:
-  ScopedContextBudget(eufm::Context& cx, BudgetGovernor& gov)
-      : cx_(cx), prior_(cx.budgetGovernor()) {
-    cx_.setBudget(&gov);
-  }
-  ~ScopedContextBudget() { cx_.setBudget(prior_); }
-
- private:
-  eufm::Context& cx_;
-  BudgetGovernor* prior_;
-};
-
 }  // namespace
 
 // One linear scan of the DAG — done once at the end of a run, so the
@@ -146,7 +131,6 @@ std::vector<std::pair<std::string, std::uint64_t>> reportCounters(
     counters.emplace_back("bdd.nodes_peak", bs.nodesPeak);
     counters.emplace_back("bdd.cache_hits", bs.cacheHits);
     counters.emplace_back("bdd.cache_lookups", bs.cacheLookups);
-    counters.emplace_back("bdd.reorderings", bs.reorderings);
     counters.emplace_back("bdd.gc_runs", bs.gcRuns);
   }
   return counters;
@@ -160,7 +144,7 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
   VerifyReport rep;
   rep.engine = opts.engine;
   BudgetGovernor gov(opts.budget);
-  ScopedContextBudget attach(cx, gov);
+  eufm::ScopedContextBudget attach(cx, gov);
 
   // Intra-cell worker pool (jobs > 1): shared by the rewrite slice loop and
   // the CNF build. Results are identical to the sequential path, so nothing
@@ -351,13 +335,11 @@ VerifyReport verifyWith(eufm::Context& cx, const models::Isa& isa,
       // governor like any other stage.
       BudgetGovernor sibling(opts.budget);
       BudgetGovernor& bddGov = opts.engine == Engine::Both ? sibling : gov;
-      bdd::CheckOptions copts;
-      copts.governor = &bddGov;
       bdd::CheckResult cr;
       {
         TRACE_SPAN("verify.bdd");
         cr = bdd::checkValidity(*tr.pctx, tr.validityRoot,
-                                tr.transitivityClauses(), copts);
+                                tr.transitivityClauses(), &bddGov);
       }
       rep.outcome.seconds.bdd = timer.seconds();
       rep.bddStats = cr.stats;

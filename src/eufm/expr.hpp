@@ -219,4 +219,21 @@ class Context {
   std::uint32_t budgetTick_ = 0;
 };
 
+/// Scoped attachment of a governor to a context for one flow: restores
+/// whatever was attached before, even when a stage throws.
+class ScopedContextBudget {
+ public:
+  ScopedContextBudget(Context& cx, BudgetGovernor& gov)
+      : cx_(cx), prior_(cx.budgetGovernor()) {
+    cx_.setBudget(&gov);
+  }
+  ~ScopedContextBudget() { cx_.setBudget(prior_); }
+  ScopedContextBudget(const ScopedContextBudget&) = delete;
+  ScopedContextBudget& operator=(const ScopedContextBudget&) = delete;
+
+ private:
+  Context& cx_;
+  BudgetGovernor* prior_;
+};
+
 }  // namespace velev::eufm

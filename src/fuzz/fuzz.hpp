@@ -181,10 +181,10 @@ struct OracleOptions {
 bool peFeasible(const models::OoOConfig& cfg);
 
 /// Is the BDD oracle worth attempting? Strictly inside peFeasible(): on
-/// falsifiable formulas the BDD engine pays seconds of sifting per case
-/// where the SAT side takes milliseconds, so the fuzzer cross-checks only
-/// the cells where the BDD decides quickly, and records everything larger
-/// as Skipped.
+/// falsifiable formulas the fixed-order BDD can fill its node-table budget
+/// (8-9 s to memout at 256 MiB) where the SAT side takes milliseconds, so
+/// the fuzzer cross-checks only the cells where the BDD usually decides,
+/// and records everything larger as Skipped.
 bool bddFeasible(const models::OoOConfig& cfg);
 
 /// What every oracle said about one case.

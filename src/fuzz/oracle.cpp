@@ -1,4 +1,4 @@
-// The three verdict sources for one fuzz case, and the agreement relation
+// The four verdict sources for one fuzz case, and the agreement relation
 // between them.
 //
 // Soundness semantics of each oracle:
@@ -34,21 +34,6 @@ namespace velev::fuzz {
 
 namespace {
 
-/// Same idiom as core/verifier.cpp: attach a governor to the context for
-/// one flow, restoring the prior attachment even on unwind.
-class ScopedContextBudget {
- public:
-  ScopedContextBudget(eufm::Context& cx, BudgetGovernor& gov)
-      : cx_(cx), prior_(cx.budgetGovernor()) {
-    cx_.setBudget(&gov);
-  }
-  ~ScopedContextBudget() { cx_.setBudget(prior_); }
-
- private:
-  eufm::Context& cx_;
-  BudgetGovernor* prior_;
-};
-
 bool conclusive(core::Verdict v) {
   return v == core::Verdict::Correct ||
          v == core::Verdict::CounterexampleFound ||
@@ -69,10 +54,11 @@ bool peFeasible(const models::OoOConfig& cfg) {
 
 bool bddFeasible(const models::OoOConfig& cfg) {
   // Falsifiable cells dominate the cost: correct designs collapse to the
-  // false terminal in milliseconds at any feasible size, but a satisfying
-  // path takes reorder-and-retry work (~1.5 s at 3x2, ~0.5 s at 4x1) and
-  // 4x2 grinds past two minutes. The envelope keeps the worst falsifiable
-  // cell under a couple of seconds so corpus replay stays fast.
+  // false terminal in milliseconds at any feasible size, and most buggy
+  // cells yield a satisfying path in ~0.15 s (3x2, 4x1). The hardest ones
+  // (completion:1 at 3x2 or 4x1) and every buggy 4x2 cell fill the 256 MiB
+  // node-table budget in 8-9 s and end as memout, so the envelope stops at
+  // the cells where a counterexample is usually reached.
   const unsigned n = cfg.robSize, k = cfg.issueWidth;
   return (k == 1 && n <= 4) || (k == 2 && n <= 3);
 }
@@ -114,7 +100,7 @@ OracleOutcome runOracles(const FuzzCase& c, const OracleOptions& opts) {
   if ((opts.runPe && peFeasible(c.cfg)) || wantBdd) {
     TRACE_SPAN("fuzz.oracle.pe");
     BudgetGovernor gov(opts.peBudget);
-    ScopedContextBudget attach(cx, gov);
+    eufm::ScopedContextBudget attach(cx, gov);
     try {
       tr.emplace(evc::translate(cx, d.correctness, {}));
       if (opts.runPe) {
@@ -162,10 +148,8 @@ OracleOutcome runOracles(const FuzzCase& c, const OracleOptions& opts) {
       out.bddVerdict == core::Verdict::Skipped) {
     TRACE_SPAN("fuzz.oracle.bdd");
     BudgetGovernor gov(opts.bddBudget);
-    bdd::CheckOptions copts;
-    copts.governor = &gov;
     const bdd::CheckResult res = bdd::checkValidity(
-        *tr->pctx, tr->validityRoot, tr->transitivityClauses(), copts);
+        *tr->pctx, tr->validityRoot, tr->transitivityClauses(), &gov);
     out.bddPeakNodes = res.stats.nodesPeak;
     switch (res.status) {
       case bdd::CheckStatus::Valid:

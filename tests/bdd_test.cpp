@@ -1,7 +1,7 @@
 // The BDD decision engine: unique-table canonicity under complement edges,
-// garbage-collection liveness, sifting correctness (same function before and
-// after a reorder, smaller table on the classic comparator), deterministic
-// MemOut under a logical budget, checkValidity() against hand-built AIGs,
+// garbage-collection liveness (explicit and at the gcPending() safe points),
+// deterministic MemOut under a logical budget, checkValidity() against
+// hand-built AIGs,
 // and cross-engine agreement of core::verify() between Engine::Sat and
 // Engine::Bdd on small cells.
 #include <gtest/gtest.h>
@@ -115,11 +115,9 @@ TEST(BddGc, SweepsDeadKeepsProtectedAndExtraRoots) {
   EXPECT_EQ(mgr.liveNodes(), 1u);  // only the terminal remains
 }
 
-// ---- sifting ----------------------------------------------------------------
-
-/// The classic reordering benchmark: the comparator AND_i (x_i == y_i) is
+/// The classic hard-order function: the comparator AND_i (x_i == y_i) is
 /// linear under the interleaved order x0 y0 x1 y1 ... and exponential under
-/// the separated order x0 x1 ... y0 y1 ...
+/// the separated order x0 x1 ... y0 y1 ... this builds it under the latter.
 BddRef separatedComparator(BddManager& mgr, unsigned pairs) {
   for (unsigned i = 0; i < 2 * pairs; ++i) mgr.mkVar();
   BddRef f = bdd::kTrue;
@@ -129,67 +127,32 @@ BddRef separatedComparator(BddManager& mgr, unsigned pairs) {
   return f;
 }
 
-TEST(BddSift, PreservesEveryAssignmentAndShrinksTheComparator) {
-  constexpr unsigned kPairs = 7;
-  BddManager mgr;
-  const BddRef f = separatedComparator(mgr, kPairs);
-  mgr.protect(f);
-  mgr.gc();
-  const std::uint32_t before = mgr.liveNodes();
-
-  mgr.sift();
-  mgr.gc();
-  EXPECT_TRUE(mgr.checkInvariants());
-  // Sifting finds (an equivalent of) the interleaved order: the table
-  // collapses from exponential to linear in the pair count.
-  EXPECT_LT(mgr.liveNodes(), before / 4);
-
-  // Exhaustive function check: 2^14 assignments.
-  std::vector<bool> asg(2 * kPairs);
-  for (unsigned m = 0; m < (1u << (2 * kPairs)); ++m) {
-    bool expect = true;
-    for (unsigned i = 0; i < kPairs; ++i) {
-      asg[i] = (m >> i) & 1;
-      asg[kPairs + i] = (m >> (kPairs + i)) & 1;
-      expect = expect && (asg[i] == asg[kPairs + i]);
-    }
-    ASSERT_EQ(mgr.eval(f, asg), expect) << "minterm " << m;
-  }
-}
-
-TEST(BddSift, AutomaticReorderingGovernsAGrowingBuild) {
-  // The caller-side protocol of check.cpp's ConeBuilder: build under a low
-  // threshold, reorder at safe points, and on a mid-operation ReorderRequest
-  // unwind, recover with reorderAfterAbort() and retry — either path must
-  // complete at least one sift pass on the separated comparator.
-  constexpr unsigned kPairs = 7;
+TEST(BddGc, SafePointGcKeepsAGrowingBuildSound) {
+  // The caller-side protocol of check.cpp: every intermediate but the
+  // running conjunction dies at once, and the caller sweeps between
+  // operations whenever gcPending() says the table has doubled.
+  constexpr unsigned kPairs = 13;
   BddManager mgr;
   for (unsigned i = 0; i < 2 * kPairs; ++i) mgr.mkVar();
-  mgr.setReorderThreshold(64);
 
   BddRef f = bdd::kTrue;
   mgr.protect(f);
   for (unsigned i = 0; i < kPairs; ++i) {
-    for (;;) {
-      try {
-        const BddRef next = mgr.mkAnd(
-            f, bdd::negate(mgr.mkXor(mgr.varRef(i), mgr.varRef(kPairs + i))));
-        mgr.unprotect(f);
-        mgr.protect(next);
-        f = next;
-        break;
-      } catch (const bdd::ReorderRequest&) {
-        mgr.reorderAfterAbort();
-      }
+    const BddRef next = mgr.mkAnd(
+        f, bdd::negate(mgr.mkXor(mgr.varRef(i), mgr.varRef(kPairs + i))));
+    mgr.unprotect(f);
+    mgr.protect(next);
+    f = next;
+    if (mgr.gcPending()) {
+      mgr.gc();
+      EXPECT_FALSE(mgr.gcPending());
+      EXPECT_TRUE(mgr.checkInvariants());
     }
-    if (mgr.reorderPending()) mgr.maybeReorder();
   }
 
-  EXPECT_GE(mgr.stats().reorderings, 1u);
-  EXPECT_GT(mgr.stats().swaps, 0u);
   EXPECT_GT(mgr.stats().gcRuns, 0u);
+  EXPECT_GT(mgr.stats().nodesFreed, 0u);
   EXPECT_TRUE(mgr.checkInvariants());
-  // Spot-check the function across the reordered table.
   std::vector<bool> asg(2 * kPairs, true);
   EXPECT_TRUE(mgr.eval(f, asg));
   asg[3] = false;  // one mismatched pair
@@ -287,20 +250,48 @@ TEST(BddCheck, BudgetTripReportsUnknownWithMemoryKind) {
   ResourceBudget b;
   b.memoryBytes = 150'000;
   BudgetGovernor gov1(b), gov2(b);
-  bdd::CheckOptions opts;
-  opts.reorderThreshold = 0;  // no escape hatch: the budget must trip
-  opts.governor = &gov1;
-  const bdd::CheckResult r1 = bdd::checkValidity(pctx, prop::negate(all), {},
-                                                 opts);
-  opts.governor = &gov2;
-  const bdd::CheckResult r2 = bdd::checkValidity(pctx, prop::negate(all), {},
-                                                 opts);
+  const bdd::CheckResult r1 =
+      bdd::checkValidity(pctx, prop::negate(all), {}, &gov1);
+  const bdd::CheckResult r2 =
+      bdd::checkValidity(pctx, prop::negate(all), {}, &gov2);
   ASSERT_EQ(r1.status, bdd::CheckStatus::Unknown);
   EXPECT_EQ(r1.tripKind, BudgetKind::Memory);
   EXPECT_FALSE(r1.reason.empty());
   EXPECT_TRUE(r1.model.empty());
   // Logical budgets are deterministic: byte-for-byte the same trip point.
   EXPECT_EQ(r1.stats.nodesPeak, r2.stats.nodesPeak);
+}
+
+TEST(BddCheck, SafePointGcRunsOnAConeWithDeadIntermediates) {
+  // Two association orders of the separated comparator: the AIG cones are
+  // disjoint, so every partial conjunction of either chain is a dead
+  // intermediate once its consumer is built, and together they outgrow the
+  // gc floor. all -> all' is valid; all alone is falsifiable.
+  constexpr unsigned kPairs = 12;
+  prop::PropCtx pctx;
+  std::vector<prop::PLit> xs, ys;
+  for (unsigned i = 0; i < kPairs; ++i) xs.push_back(pctx.mkVar());
+  for (unsigned i = 0; i < kPairs; ++i) ys.push_back(pctx.mkVar());
+  prop::PLit fwd = prop::kTrue, rev = prop::kTrue;
+  for (unsigned i = 0; i < kPairs; ++i) {
+    fwd = pctx.mkAnd(fwd, pctx.mkIff(xs[i], ys[i]));
+    const unsigned j = kPairs - 1 - i;
+    rev = pctx.mkAnd(pctx.mkIff(xs[j], ys[j]), rev);
+  }
+  ASSERT_NE(fwd, rev);
+
+  const bdd::CheckResult valid =
+      bdd::checkValidity(pctx, pctx.mkImplies(fwd, rev), {});
+  EXPECT_EQ(valid.status, bdd::CheckStatus::Valid);
+  EXPECT_GT(valid.stats.gcRuns, 0u);
+  EXPECT_GT(valid.stats.nodesFreed, 0u);
+
+  const bdd::CheckResult cex = bdd::checkValidity(pctx, fwd, {});
+  ASSERT_EQ(cex.status, bdd::CheckStatus::Falsifiable);
+  EXPECT_GT(cex.stats.gcRuns, 0u);
+  std::vector<bool> asg(2 * kPairs);
+  for (unsigned v = 0; v < 2 * kPairs; ++v) asg[v] = cex.model[v + 1];
+  EXPECT_FALSE(pctx.eval(fwd, asg));
 }
 
 // ---- cross-engine agreement -------------------------------------------------

@@ -83,6 +83,19 @@ TEST(Cli, UsageErrorExitsTwo) {
   EXPECT_EQ(runCli("--size 4 --width 2 --jobs 2").exitCode, 2);
   // The shared-session grid mode is gone: old scripts must fail loudly.
   EXPECT_EQ(runCli("--grid 2x1,3x1 --incremental").exitCode, 2);
+  // Numeric flags are strict: a negative worker count must not wrap to
+  // 4294967295 threads, and junk must not read as 0 or as its prefix. Every
+  // case here is rejected before any thread or model exists.
+  EXPECT_EQ(runCli("--size 4 --width 2 --cell-jobs -1").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --cell-jobs 1025").exitCode, 2);
+  EXPECT_EQ(runCli("--grid 2x1 --jobs -1").exitCode, 2);
+  EXPECT_EQ(runCli("--size x --width 1").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4k --width 1").exitCode, 2);
+  EXPECT_EQ(runCli("--size -4 --width 1").exitCode, 2);
+  EXPECT_EQ(runCli("--size 99999999999 --width 1").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --bug fwd:two").exitCode, 2);
+  EXPECT_EQ(runCli("--grid 2x1,3xq").exitCode, 2);
+  EXPECT_EQ(runCli("--grid 'sizes=2,-3;widths=1'").exitCode, 2);
 }
 
 TEST(Cli, SingleModeMatchesLibrary) {
@@ -214,6 +227,12 @@ TEST(Cli, BadBudgetValuesAreUsageErrors) {
   EXPECT_EQ(runCli("--size 4 --width 2 --timeout 0").exitCode, 2);
   EXPECT_EQ(runCli("--size 4 --width 2 --mem-budget 0").exitCode, 2);
   EXPECT_EQ(runCli("--size 4 --width 2 --fallback bogus").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --timeout 1s").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --timeout x").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --mem-budget -1").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --mem-budget 8MB").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --budget -1").exitCode, 2);
+  EXPECT_EQ(runCli("--size 4 --width 2 --budget x").exitCode, 2);
 }
 
 TEST(Cli, VerdictHelpersRoundTripEveryVerdict) {

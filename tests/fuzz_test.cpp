@@ -3,9 +3,12 @@
 // hand-built formulas and on a real buggy processor), the agreement
 // relation, delta-debugging shrinking, corpus serialization, and replay
 // of the checked-in seed regression corpus (tests/corpus, path injected
-// by CMake as VELEV_CORPUS_DIR).
+// by CMake as VELEV_CORPUS_DIR), and the velev_fuzz command line (binary
+// path injected as VELEV_FUZZ_BIN).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <sstream>
@@ -444,6 +447,31 @@ TEST(FuzzCorpusRegression, CheckedInCorporaReplayCleanly) {
   for (const BugKind k : fuzz::generatableBugKinds())
     EXPECT_TRUE(kinds.count(k)) << models::bugKindName(k);
   EXPECT_TRUE(kinds.count(BugKind::None));
+}
+
+// ---- command line -----------------------------------------------------------
+
+int runFuzzCli(const std::string& args) {
+  const std::string cmd =
+      std::string(VELEV_FUZZ_BIN) + " " + args + " --out '' >/dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(FuzzCli, BadNumericValuesAreUsageErrors) {
+  // Each of these used to wrap through an unsigned cast (-1 -> 4294967295
+  // cases or a 4-billion-wide ROB bound) or read as 0; all are rejected
+  // before a single case runs.
+  for (const char* args :
+       {"--cases -1", "--cases 0", "--cases x", "--max-rob -1",
+        "--max-width -1", "--max-width 2x", "--seed x", "--seed -1",
+        "--eval-seeds x", "--pe-conflicts x", "--pe-conflicts -5",
+        "--pe-mem 0", "--total-timeout x", "--no-such-flag"}) {
+    SCOPED_TRACE(args);
+    EXPECT_EQ(runFuzzCli(args), 2);
+  }
+  EXPECT_EQ(runFuzzCli("--seed 3 --cases 1 --max-rob 2 --max-width 1 --quiet"),
+            0);
 }
 
 }  // namespace

@@ -347,6 +347,45 @@ TEST(Grid, CheckpointWithRetiredCounterRestoresCleanly) {
   std::filesystem::remove_all(path);
 }
 
+TEST(Grid, BddCheckpointWithRetiredReorderCounterRestoresCleanly) {
+  // Records written while the BDD engine still reordered variables carry its
+  // bdd.reorderings counter. Resume ignores the unknown key: the cell comes
+  // back restored with its verdict and the current bdd.* counters.
+  VerifyRequest base;
+  base.strategy = Strategy::PositiveEqualityOnly;
+  base.engine = Engine::Bdd;
+  const auto cells = makeGridRequests(std::vector<unsigned>{2},
+                                      std::vector<unsigned>{1}, base);
+  const std::string path = checkpointPath("retired_bdd");
+
+  GridRunOptions opts;
+  opts.checkpointPath = path;
+  const auto baseline = runGrid(cells, opts);
+  ASSERT_EQ(baseline.size(), 1u);
+  ASSERT_GT(baseline[0].report.bddStats.nodesPeak, 0u);
+
+  {
+    ResultStore store(ResultStore::Options{path});
+    auto records = store.load();
+    ASSERT_EQ(records.size(), 1u);
+    VerifyResponse& resp = records[0].second;
+    resp.counters.emplace_back("bdd.reorderings", 3);
+    ASSERT_TRUE(store.append(records[0].first, resp));
+  }
+
+  opts.resume = true;
+  const auto resumed = runGrid(cells, opts);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_TRUE(resumed[0].restored);
+  EXPECT_EQ(resumed[0].report.verdict(), baseline[0].report.verdict());
+  EXPECT_EQ(resumed[0].report.engine, Engine::Bdd);
+  const auto counters = reportCounters(resumed[0].report);
+  EXPECT_EQ(counters, reportCounters(baseline[0].report));
+  for (const auto& [name, value] : counters)
+    EXPECT_NE(name, "bdd.reorderings");
+  std::filesystem::remove_all(path);
+}
+
 TEST(Grid, CheckpointWithoutResumeRerunsEveryCell) {
   // checkpointPath alone only *writes*; restoring is opt-in via resume,
   // so a deliberate re-verification is still possible.

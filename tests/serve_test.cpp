@@ -7,15 +7,17 @@
 // coalescing under concurrency, budget verdicts and their exit codes,
 // malformed-line handling, control ops) and the socket client against a
 // live server — cached answers must be identical to a fresh in-process
-// verification.
+// verification — and the velev_serve command line's usage errors.
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -1118,6 +1120,29 @@ TEST(ServeAdmission, PendingSecondsCapRejectsOverCommittedBudgets) {
     t.join();
   }
   EXPECT_TRUE(rejected);
+}
+
+// ---- command line -----------------------------------------------------------
+
+TEST(ServeCli, BadNumericValuesAreUsageErrors) {
+  // Rejected while parsing, before any listener or thread exists: a
+  // negative --jobs used to wrap to 4294967295 pool threads.
+  const std::string sock = ::testing::TempDir() + "serve_cli_usage.sock";
+  for (const std::string args :
+       {"--jobs -1", "--jobs 0", "--jobs x", "--jobs 1025", "--workers -1",
+        "--cache 0", "--max-queue 2x", "--max-mem -1", "--max-timeout x"}) {
+    SCOPED_TRACE(args);
+    const std::string cmd = std::string(VELEV_SERVE_BIN) + " --socket " +
+                            sock + " " + args + " >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+  }
+  const std::string cmd =
+      std::string(VELEV_SERVE_BIN) + " --port 70000 >/dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
 }
 
 }  // namespace

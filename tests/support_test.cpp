@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <thread>
 
 #include "support/check.hpp"
+#include "support/flags.hpp"
 #include "support/hash.hpp"
 #include "support/interner.hpp"
 #include "support/rng.hpp"
@@ -130,6 +132,35 @@ TEST(Check, MessageIncludesDetail) {
   } catch (const InternalError& e) {
     EXPECT_NE(std::string(e.what()).find("slice 72"), std::string::npos);
   }
+}
+
+TEST(Flags, UintTakesTheWholeStringOrNothing) {
+  EXPECT_EQ(parseUint("0", 0, 10), 0u);
+  EXPECT_EQ(parseUint("42", 1, 100), 42u);
+  EXPECT_EQ(parseUint("18446744073709551615", 0, UINT64_MAX), UINT64_MAX);
+  EXPECT_FALSE(parseUint("", 0, 10).has_value());
+  EXPECT_FALSE(parseUint("-1", 0, UINT64_MAX).has_value());
+  EXPECT_FALSE(parseUint("+1", 0, 10).has_value());
+  EXPECT_FALSE(parseUint(" 1", 0, 10).has_value());
+  EXPECT_FALSE(parseUint("1 ", 0, 10).has_value());
+  EXPECT_FALSE(parseUint("8k", 0, 10).has_value());
+  EXPECT_FALSE(parseUint("x", 0, 10).has_value());
+  EXPECT_FALSE(parseUint("0x10", 0, 100).has_value());
+  EXPECT_FALSE(parseUint("18446744073709551616", 0, UINT64_MAX).has_value());
+  EXPECT_FALSE(parseUint("0", 1, 10).has_value());   // below the range
+  EXPECT_FALSE(parseUint("11", 1, 10).has_value());  // above the range
+}
+
+TEST(Flags, RealIsFiniteAndFullyConsumed) {
+  EXPECT_EQ(parseReal("0.25"), 0.25);
+  EXPECT_EQ(parseReal("-3"), -3.0);
+  EXPECT_EQ(parseReal("1e2"), 100.0);
+  EXPECT_FALSE(parseReal("").has_value());
+  EXPECT_FALSE(parseReal("1s").has_value());
+  EXPECT_FALSE(parseReal(" 1").has_value());
+  EXPECT_FALSE(parseReal("x").has_value());
+  EXPECT_FALSE(parseReal("inf").has_value());
+  EXPECT_FALSE(parseReal("nan").has_value());
 }
 
 }  // namespace

@@ -5,9 +5,10 @@
 //   $ velev_fuzz --seed 7 --cases 50 --trace trace-out --quiet
 //
 // Each case draws a random (ROB size, issue width, bug kind, bug slice)
-// configuration — including bug-free ones — and cross-checks three
-// oracles: the rewriting flow, the budget-capped PE-only flow, and direct
-// concrete evaluation of the EUFM correctness formula under random finite
+// configuration — including bug-free ones — and cross-checks four
+// oracles: the rewriting flow, the budget-capped PE-only flow, the
+// budget-capped BDD engine on the same PE translation, and direct concrete
+// evaluation of the EUFM correctness formula under random finite
 // interpretations. Any sound disagreement fails the run; PE SAT models
 // are decoded back into term-level counterexamples and disagreeing cases
 // are delta-debugged into minimal reproducers (see src/fuzz/fuzz.hpp).
@@ -38,8 +39,13 @@
 //   --trace DIR       write trace.json + manifest.json (docs/TRACE_FORMAT.md)
 //   --quiet           suppress per-case progress lines
 //
+// Numeric values are strict (support/flags.hpp): a sign, junk or an
+// out-of-range value is a usage error.
+//
 // Exit code: 0 all oracles agreed (on replay: everything reproduced),
 // 1 disagreement/replay mismatch, 2 usage error.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -49,6 +55,7 @@
 #include <vector>
 
 #include "fuzz/fuzz.hpp"
+#include "support/flags.hpp"
 #include "support/trace.hpp"
 #include "velev.hpp"
 
@@ -126,32 +133,25 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + a).c_str());
       return argv[++i];
     };
-    if (a == "--seed") fopts.seed = std::strtoull(next(), nullptr, 10);
-    else if (a == "--cases") {
-      fopts.cases = static_cast<unsigned>(std::atoi(next()));
-      if (fopts.cases < 1) usage("--cases must be >= 1");
-    } else if (a == "--out") fopts.outDir = next();
+    auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+      return uintFlag(a, next(), lo, hi);
+    };
+    if (a == "--seed") fopts.seed = count(0, UINT64_MAX);
+    else if (a == "--cases") fopts.cases = count(1, UINT_MAX);
+    else if (a == "--out") fopts.outDir = next();
     else if (a == "--replay") replay.emplace_back(next());
-    else if (a == "--max-rob") {
-      fopts.gen.maxRobSize = static_cast<unsigned>(std::atoi(next()));
-      if (fopts.gen.maxRobSize < 1) usage("--max-rob must be >= 1");
-    } else if (a == "--max-width") {
-      fopts.gen.maxIssueWidth = static_cast<unsigned>(std::atoi(next()));
-      if (fopts.gen.maxIssueWidth < 1) usage("--max-width must be >= 1");
-    } else if (a == "--eval-seeds") {
-      fopts.oracle.evalSeeds = static_cast<unsigned>(std::atoi(next()));
-    } else if (a == "--pe-conflicts") {
-      fopts.oracle.peBudget.satConflicts = std::atoll(next());
-    } else if (a == "--pe-mem") {
-      const long mb = std::atol(next());
-      if (mb <= 0) usage("--pe-mem must be > 0 MiB");
-      fopts.oracle.peBudget.memoryBytes =
-          static_cast<std::size_t>(mb) * 1024u * 1024u;
-    } else if (a == "--no-pe") fopts.oracle.runPe = false;
+    else if (a == "--max-rob") fopts.gen.maxRobSize = count(1, UINT_MAX);
+    else if (a == "--max-width") fopts.gen.maxIssueWidth = count(1, UINT_MAX);
+    else if (a == "--eval-seeds") fopts.oracle.evalSeeds = count(0, UINT_MAX);
+    else if (a == "--pe-conflicts")
+      fopts.oracle.peBudget.satConflicts = count(0, INT64_MAX);
+    else if (a == "--pe-mem")
+      fopts.oracle.peBudget.memoryBytes = count(1, SIZE_MAX >> 20) << 20;
+    else if (a == "--no-pe") fopts.oracle.runPe = false;
     else if (a == "--no-inprocess") fopts.oracle.inprocess.enabled = false;
     else if (a == "--no-shrink") fopts.shrink = false;
     else if (a == "--total-timeout") {
-      fopts.totalWallSeconds = std::atof(next());
+      fopts.totalWallSeconds = realFlag(a, next());
       if (fopts.totalWallSeconds < 0) usage("--total-timeout must be >= 0");
     } else if (a == "--trace") traceDir = next();
     else if (a == "--quiet") quiet = true;

@@ -41,6 +41,10 @@
 //                     and running jobs already sum past S (default: off)
 //   --quiet           no startup/shutdown chatter on stdout
 //
+// Numeric values are strict (support/flags.hpp): a sign, junk or an
+// out-of-range value is a usage error; --jobs takes 1..1024 and --workers
+// 0..1024.
+//
 // Internal (spawned by the supervisor, never by hand):
 //   --worker FD       run as a verification worker over socketpair FD
 //   --crash-after N   worker test hook: _exit after reading N requests
@@ -56,13 +60,16 @@
 // Exit code: 0 on a clean shutdown, 2 on usage/startup errors.
 #include <unistd.h>
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "serve/worker.hpp"
+#include "support/flags.hpp"
 #include "velev.hpp"
 
 using namespace velev;
@@ -91,11 +98,11 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--worker") == 0) {
     if (argc < 3) usage("--worker needs the socketpair fd");
     serve::WorkerOptions wopts;
-    wopts.fd = std::atoi(argv[2]);
-    if (wopts.fd < 0) usage("--worker fd must be >= 0");
+    wopts.fd = static_cast<int>(uintFlag("--worker", argv[2], 0, INT_MAX));
     for (int i = 3; i < argc; ++i) {
       if (std::strcmp(argv[i], "--crash-after") == 0 && i + 1 < argc)
-        wopts.crashAfter = std::atoi(argv[++i]);
+        wopts.crashAfter =
+            static_cast<int>(uintFlag("--crash-after", argv[++i], 0, INT_MAX));
       else
         usage(("unknown worker option: " + std::string(argv[i])).c_str());
     }
@@ -113,42 +120,33 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + a).c_str());
       return argv[++i];
     };
+    auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+      return uintFlag(a, next(), lo, hi);
+    };
     if (a == "--socket") opts.unixSocketPath = next();
     else if (a == "--port") {
-      opts.tcpPort = std::atoi(next());
+      opts.tcpPort = static_cast<int>(count(0, 65535));
       havePort = true;
-      if (opts.tcpPort < 0 || opts.tcpPort > 65535)
-        usage("--port must be 0..65535");
     } else if (a == "--jobs") {
-      opts.jobs = static_cast<unsigned>(std::atoi(next()));
-      if (opts.jobs < 1) usage("--jobs must be >= 1");
+      opts.jobs = count(1, kMaxFlagThreads);
     } else if (a == "--workers") {
-      const int n = std::atoi(next());
-      if (n < 0) usage("--workers must be >= 0");
-      opts.workers = static_cast<unsigned>(n);
+      opts.workers = count(0, kMaxFlagThreads);
     } else if (a == "--batch") {
       opts.batch = true;
     } else if (a == "--cache") {
-      const long n = std::atol(next());
-      if (n < 1) usage("--cache must be >= 1 entries");
-      opts.cacheMaxEntries = static_cast<std::size_t>(n);
+      opts.cacheMaxEntries = count(1, SIZE_MAX);
     } else if (a == "--cache-dir") {
       opts.cacheDir = next();
     } else if (a == "--max-queue") {
-      const long n = std::atol(next());
-      if (n < 1) usage("--max-queue must be >= 1");
-      opts.maxQueueDepth = static_cast<std::size_t>(n);
+      opts.maxQueueDepth = count(1, SIZE_MAX);
     } else if (a == "--max-pending-secs") {
-      opts.maxPendingSeconds = std::atof(next());
+      opts.maxPendingSeconds = realFlag(a, next());
       if (opts.maxPendingSeconds <= 0) usage("--max-pending-secs must be > 0");
     } else if (a == "--max-timeout") {
-      opts.maxTimeoutSeconds = std::atof(next());
+      opts.maxTimeoutSeconds = realFlag(a, next());
       if (opts.maxTimeoutSeconds <= 0) usage("--max-timeout must be > 0");
     } else if (a == "--max-mem") {
-      const long mb = std::atol(next());
-      if (mb <= 0) usage("--max-mem must be > 0 MiB");
-      opts.maxMemoryBudgetBytes =
-          static_cast<std::uint64_t>(mb) * 1024u * 1024u;
+      opts.maxMemoryBudgetBytes = count(1, UINT64_MAX >> 20) << 20;
     } else if (a == "--quiet") quiet = true;
     else usage(("unknown option: " + a).c_str());
   }
@@ -171,7 +169,8 @@ int main(int argc, char** argv) {
     // Fault-injection hook (CI smoke): armed once, then scrubbed from the
     // environment so no worker — and no respawn — re-inherits it.
     if (const char* crash = std::getenv("VELEV_SERVE_CRASH_AFTER")) {
-      opts.workerCrashAfter = std::atoi(crash);
+      opts.workerCrashAfter = static_cast<int>(
+          uintFlag("VELEV_SERVE_CRASH_AFTER", crash, 0, INT_MAX));
       ::unsetenv("VELEV_SERVE_CRASH_AFTER");
     }
   }

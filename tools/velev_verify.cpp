@@ -81,11 +81,16 @@
 //                     their statistics in the --trace manifests instead)
 //   --quiet           print only the verdict line(s)
 //
+// Numeric values are strict (support/flags.hpp): a sign, junk or an
+// out-of-range value is a usage error; --jobs and --cell-jobs take 1..1024.
+//
 // Exit code (core::verdictExitCode — one mapping shared with the benches
 // and cli_test): 0 correct, 1 bug found / mismatch, 2 usage error,
 // 3 inconclusive/skipped, 4 timeout/memout. Grid mode aggregates by
 // severity: any bug -> 1, else any timeout/memout -> 4, else any
 // inconclusive/skipped -> 3, else 0.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -94,6 +99,7 @@
 #include <string>
 #include <vector>
 
+#include "support/flags.hpp"
 #include "velev.hpp"
 
 using namespace velev;
@@ -114,16 +120,19 @@ models::BugKind parseBugKind(const std::string& s) {
   return *k;
 }
 
+/// One ROB size or width inside a --grid spec: strict, like every flag.
+unsigned gridNumber(const std::string& s) {
+  return static_cast<unsigned>(uintFlag("--grid", s.c_str(), 1, UINT_MAX));
+}
+
 std::vector<unsigned> parseUnsignedList(const std::string& s) {
   std::vector<unsigned> out;
   std::size_t pos = 0;
   while (pos < s.size()) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(s.c_str() + pos, &end, 10);
-    if (end == s.c_str() + pos) usage(("bad number in list: " + s).c_str());
-    out.push_back(static_cast<unsigned>(v));
-    pos = static_cast<std::size_t>(end - s.c_str());
-    if (pos < s.size() && s[pos] == ',') ++pos;
+    const std::size_t comma = s.find(',', pos);
+    out.push_back(gridNumber(s.substr(pos, comma - pos)));
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
   }
   return out;
 }
@@ -160,8 +169,8 @@ std::vector<core::GridCell> parseGridSpec(const std::string& spec) {
     const std::size_t x = part.find('x');
     if (x == std::string::npos) usage("--grid cells must look like NxK");
     core::GridCell c;
-    c.robSize = static_cast<unsigned>(std::atoi(part.c_str()));
-    c.issueWidth = static_cast<unsigned>(std::atoi(part.c_str() + x + 1));
+    c.robSize = gridNumber(part.substr(0, x));
+    c.issueWidth = gridNumber(part.substr(x + 1));
     if (c.issueWidth < 1 || c.issueWidth > c.robSize)
       usage(("impossible cell (need 1 <= width <= size): " + part).c_str());
     cells.push_back(c);
@@ -441,10 +450,9 @@ int runSingleMode(const core::VerifyRequest& req, unsigned cellJobs,
     if (!quiet) std::printf("wrote DIMACS to %s\n", dumpCnf);
   }
   if (!quiet && rep.bddStats.nodesPeak > 0)
-    std::printf("bdd: %llu peak nodes, %llu reorderings, %llu/%llu cache "
-                "hits\n",
+    std::printf("bdd: %llu peak nodes, %llu gc runs, %llu/%llu cache hits\n",
                 static_cast<unsigned long long>(rep.bddStats.nodesPeak),
-                static_cast<unsigned long long>(rep.bddStats.reorderings),
+                static_cast<unsigned long long>(rep.bddStats.gcRuns),
                 static_cast<unsigned long long>(rep.bddStats.cacheHits),
                 static_cast<unsigned long long>(rep.bddStats.cacheLookups));
   if (proofPath && rep.outcome.satResult == sat::Result::Unsat) {
@@ -501,15 +509,14 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + a).c_str());
       return argv[++i];
     };
-    if (a == "--size") size = std::atoi(next());
-    else if (a == "--width") width = std::atoi(next());
-    else if (a == "--jobs") {
-      jobs = std::atoi(next());
-      if (jobs < 1) usage("--jobs must be >= 1");
-    } else if (a == "--cell-jobs") {
-      cellJobs = std::atoi(next());
-      if (cellJobs < 1) usage("--cell-jobs must be >= 1");
-    } else if (a == "--checkpoint") checkpointPath = next();
+    auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+      return uintFlag(a, next(), lo, hi);
+    };
+    if (a == "--size") size = count(1, UINT_MAX);
+    else if (a == "--width") width = count(1, UINT_MAX);
+    else if (a == "--jobs") jobs = count(1, kMaxFlagThreads);
+    else if (a == "--cell-jobs") cellJobs = count(1, kMaxFlagThreads);
+    else if (a == "--checkpoint") checkpointPath = next();
     else if (a == "--resume") resume = true;
     else if (a == "--grid") gridSpec = next();
     else if (a == "--strategy") {
@@ -527,15 +534,14 @@ int main(int argc, char** argv) {
       const auto colon = s.find(':');
       if (colon == std::string::npos) usage("--bug expects KIND:SLICE");
       bug.kind = parseBugKind(s.substr(0, colon));
-      bug.index = std::atoi(s.c_str() + colon + 1);
-    } else if (a == "--budget") budget.satConflicts = std::atoll(next());
+      bug.index = static_cast<unsigned>(
+          uintFlag("--bug", s.c_str() + colon + 1, 1, UINT_MAX));
+    } else if (a == "--budget") budget.satConflicts = count(0, INT64_MAX);
     else if (a == "--timeout") {
-      budget.wallSeconds = std::atof(next());
+      budget.wallSeconds = realFlag(a, next());
       if (budget.wallSeconds <= 0) usage("--timeout must be > 0 seconds");
     } else if (a == "--mem-budget") {
-      const long mb = std::atol(next());
-      if (mb <= 0) usage("--mem-budget must be > 0 MiB");
-      budget.memoryBytes = static_cast<std::size_t>(mb) * 1024u * 1024u;
+      budget.memoryBytes = count(1, SIZE_MAX >> 20) << 20;
     } else if (a == "--fallback") {
       const std::string s = next();
       if (s == "rewrite" || s == "retry-with-rewriting")
